@@ -1,8 +1,10 @@
 //! The refinement checkers (§4, §5).
 //!
 //! [`Checker`] consumes an event log (offline from memory or a file, or
-//! online from a channel) and verifies that the logged execution refines an
-//! executable specification.
+//! online from a channel through
+//! [`ObjectChecker::check`](crate::pool::ObjectChecker::check)) and
+//! verifies that the logged execution refines an executable
+//! specification.
 //!
 //! * **I/O refinement** ([`Checker::io`]): builds the witness interleaving
 //!   by taking mutator executions in commit-action order, obtains each
@@ -64,8 +66,6 @@ mod tests;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Read;
-
-use vyrd_rt::channel::Receiver;
 
 use crate::codec;
 use crate::event::{ArgList, Event, MethodId, ThreadId, VarId};
@@ -226,16 +226,19 @@ const STRIDE_MIN: u64 = 4;
 /// retained snapshot to any window state.
 const STRIDE_MAX: u64 = 64;
 
-/// Per-drain cap for [`Checker::check_receiver`] on an *unbounded*
-/// channel. Unbounded producers never block, so the only party timing
-/// the checker's stints is the overload watchdog (hundreds of ms): a
-/// 1024-event drain keeps the stint in the low milliseconds while
-/// amortizing the channel lock and wakeup three orders of magnitude.
+/// Per-drain cap of the stream loop
+/// ([`ObjectChecker::check`](crate::pool::ObjectChecker::check)) on an
+/// *unbounded* channel. Unbounded producers never block, so the only
+/// party timing the checker's stints is the overload watchdog (hundreds
+/// of ms): a 1024-event drain keeps the stint in the low milliseconds
+/// while amortizing the channel lock and wakeup three orders of
+/// magnitude.
 pub const CONSUME_BATCH_MAX: usize = 1024;
 
-/// Per-drain cap for [`Checker::check_receiver`] on a *bounded*
-/// channel. Bounded-channel producers park on a full queue, and
-/// Shed-policy producers park **with a deadline** the adaptive overload
+/// Per-drain cap of the stream loop
+/// ([`ObjectChecker::check`](crate::pool::ObjectChecker::check)) on a
+/// *bounded* channel. Bounded-channel producers park on a full queue,
+/// and Shed-policy producers park **with a deadline** the adaptive overload
 /// controller can tighten to tens of microseconds. The consumer's
 /// processing stint is exactly how long a parked producer waits for a
 /// slot, so it must stay below the tightest shed timeout or an
@@ -463,55 +466,6 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         self.run(move || iter.next())
     }
 
-    /// Checks a log streamed from a channel (the online mode of §4.2:
-    /// the verification thread runs this while the program executes).
-    /// Returns when the channel closes or — with the default options — at
-    /// the first violation.
-    ///
-    /// Consumes the channel **batch-at-a-time**
-    /// ([`Receiver::recv_up_to`]): one lock round-trip and one wakeup
-    /// per batch instead of per event, the consume-side twin of the
-    /// append path's batched delivery. Events are still processed
-    /// strictly in arrival order, so the verdict (and every per-event
-    /// counter up to it) is identical to the per-event baseline —
-    /// `tests/consume_agreement.rs` pins that equivalence.
-    ///
-    /// The drain is capped by the channel's shape: an unlimited drain
-    /// lets the checker disappear into a multi-millisecond processing
-    /// stint while the refilled bounded channel stays full, and
-    /// Shed-policy producers time out against that stint and shed —
-    /// turning a saturated-but-healthy run into a gap cascade. Bounded
-    /// channels (the overloadable configurations) get the tight
-    /// [`BOUNDED_CONSUME_BATCH_MAX`]; unbounded channels, whose
-    /// producers never block, get the throughput-oriented
-    /// [`CONSUME_BATCH_MAX`].
-    pub fn check_receiver(mut self, receiver: &Receiver<Event>) -> Report {
-        let cap = if receiver.capacity().is_some() {
-            BOUNDED_CONSUME_BATCH_MAX
-        } else {
-            CONSUME_BATCH_MAX
-        };
-        let mut batch: Vec<Event> = Vec::new();
-        while !(self.violation.is_some() && self.options.stop_at_first_violation) {
-            batch.clear();
-            let Ok(n) = receiver.recv_up_to(&mut batch, cap) else {
-                break;
-            };
-            self.stats.batches += 1;
-            self.stats.batch_events += n as u64;
-            if vyrd_rt::metrics::enabled() {
-                crate::metrics::pipeline()
-                    .checker_batch_occupancy
-                    .record(n as u64);
-            }
-            for event in batch.drain(..) {
-                self.push(event);
-            }
-            self.pump(false);
-        }
-        self.seal().0
-    }
-
     /// Checks a log in the binary wire format (e.g. written by
     /// [`EventLog::to_file`](crate::log::EventLog::to_file)), in either
     /// the current versioned format or the legacy headerless v1 format
@@ -573,6 +527,33 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
     pub fn feed(&mut self, event: Event) {
         self.push(event);
         self.pump(false);
+    }
+
+    /// Feeds a batch of events, draining `batch`: all of them are queued
+    /// first and processed with one pump, the consume-side twin of the
+    /// append path's batched delivery. Events are still processed in
+    /// order, so the verdict (and every per-event counter up to it) is
+    /// the one per-event feeding gives — `tests/consume_agreement.rs`
+    /// pins that equivalence. Counted into [`CheckStats::batches`] and
+    /// [`CheckStats::batch_events`].
+    ///
+    /// Returns whether the checker wants more events: `false` once it
+    /// stopped at a violation (under the default
+    /// [`CheckerOptions::stop_at_first_violation`]).
+    pub fn feed_batch(&mut self, batch: &mut Vec<Event>) -> bool {
+        let n = batch.len();
+        self.stats.batches += 1;
+        self.stats.batch_events += n as u64;
+        if vyrd_rt::metrics::enabled() {
+            crate::metrics::pipeline()
+                .checker_batch_occupancy
+                .record(n as u64);
+        }
+        for event in batch.drain(..) {
+            self.push(event);
+        }
+        self.pump(false);
+        !(self.violation.is_some() && self.options.stop_at_first_violation)
     }
 
     /// True once a violation has been recorded (useful to stop feeding

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 
 use crate::checker::{Checker, CheckerOptions, Invariant};
 use crate::event::{Event, MethodId, ObjectId, ThreadId, VarId};
+use crate::pool::ObjectChecker;
 use crate::replay::Replayer;
 use crate::spec::{MethodKind, Spec, SpecEffect, SpecError};
 use crate::value::Value;
@@ -578,7 +579,7 @@ fn check_reader_round_trips_through_codec() {
 }
 
 #[test]
-fn check_receiver_consumes_an_online_stream() {
+fn stream_loop_consumes_an_online_stream() {
     let (log, rx) = crate::log::EventLog::to_channel(crate::log::LogMode::Io);
     let logger = log.logger_for(t(0));
     let handle = std::thread::spawn(move || {
@@ -590,8 +591,39 @@ fn check_receiver_consumes_an_online_stream() {
     });
     handle.join().unwrap();
     drop(log); // close the channel
-    let report = Checker::io(RegSpec::default()).check_receiver(&rx);
+    let report = ObjectChecker::check(Box::new(Checker::io(RegSpec::default())), &rx);
     assert!(report.passed(), "{report}");
+    assert_eq!(report.stats.batch_events, 5);
+}
+
+#[test]
+fn stream_loop_honors_continue_after_violation() {
+    let stream = |options: CheckerOptions| {
+        let (log, rx) = crate::log::EventLog::to_channel(crate::log::LogMode::Io);
+        let logger = log.logger_for(t(0));
+        logger.call("Get", &[Value::from(1i64)]);
+        logger.ret("Get", Value::from(99i64)); // never put
+        logger.call("Put", &[Value::from(1i64), Value::from(10i64)]);
+        logger.commit();
+        logger.ret("Put", Value::Unit);
+        log.close();
+        ObjectChecker::check(
+            Box::new(Checker::io(RegSpec::default()).with_options(options)),
+            &rx,
+        )
+    };
+    let stopped = stream(CheckerOptions::default());
+    assert_eq!(
+        stopped.violation.unwrap().category(),
+        "observer-unjustified"
+    );
+    assert_eq!(stopped.stats.events, 2);
+    let full = stream(CheckerOptions {
+        stop_at_first_violation: false,
+        ..CheckerOptions::default()
+    });
+    assert_eq!(full.violation.unwrap().category(), "observer-unjustified");
+    assert_eq!(full.stats.events, 5);
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //!    to record call, return, commit, and (optionally) shared-variable
 //!    write actions into a totally ordered [`log::EventLog`].
 //! 2. **Checking** — a [`checker::Checker`], offline or on a separate
-//!    verification thread ([`online`]), replays the log: mutator method
+//!    verification thread ([`pool`]), replays the log: mutator method
 //!    executions are serialized in the order of their **commit actions**
 //!    (the *witness interleaving*), and the [`spec::Spec`] is executed one
 //!    method at a time with the observed arguments and return values.
@@ -96,7 +96,6 @@ pub mod event;
 pub mod instrument;
 pub mod log;
 pub mod metrics;
-pub mod online;
 pub mod overload;
 pub mod pool;
 pub mod replay;

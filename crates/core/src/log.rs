@@ -910,8 +910,8 @@ impl EventLog {
     /// subsequent appends are discarded (and counted in
     /// [`LogStats::events_discarded_after_close`]), and for channel sinks
     /// the sending side is dropped so the verification thread's
-    /// [`Checker::check_receiver`](crate::checker::Checker::check_receiver)
-    /// run terminates — even if [`ThreadLogger`] handles are still alive.
+    /// [`ObjectChecker::check`](crate::pool::ObjectChecker::check) run
+    /// terminates — even if [`ThreadLogger`] handles are still alive.
     pub fn close(&self) {
         self.inner.flush_buffers();
         let mut m = self.inner.merger.lock();

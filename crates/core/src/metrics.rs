@@ -2,8 +2,8 @@
 //!
 //! Every instrumented component ([`log`](crate::log),
 //! [`shard`](crate::shard), [`pool`](crate::pool),
-//! [`online`](crate::online), [`checker`](crate::checker)) shares one
-//! [`PipelineMetrics`] bundle, created on first use. Registration is the
+//! [`checker`](crate::checker)) shares one [`PipelineMetrics`] bundle,
+//! created on first use. Registration is the
 //! only allocating step; it happens once per process, so hot paths that
 //! guard on [`vyrd_rt::metrics::enabled()`] and then update a handle stay
 //! allocation-free — the property `tests/off_mode_no_alloc.rs` pins.
@@ -145,7 +145,7 @@ pub struct PipelineMetrics {
     /// Observer-window sizes in commits (§4.3): how much commit-history
     /// each observer return had to be checked against.
     pub checker_observer_window: Arc<Histogram>,
-    /// Channel batches drained by `check_receiver`'s `recv_many` loop.
+    /// Channel batches drained by the stream loop (`ObjectChecker::check`).
     pub checker_batches: Arc<Counter>,
     /// Events delivered through those batches (equals `decode.events`
     /// and the append-side event count when nothing was shed).
@@ -174,10 +174,6 @@ pub struct PipelineMetrics {
     pub decode_frames: Arc<Counter>,
     /// Read syscalls issued to refill the decode buffer.
     pub decode_refills: Arc<Counter>,
-
-    // -- OnlineVerifier (crate::online) --
-    /// Supervised single-stream check attempts (incl. restarts).
-    pub online_checks: Arc<Counter>,
 
     // -- Segmented durable log (crate::segment) --
     /// Segments sealed (flushed, synced, and recorded in the manifest).
@@ -258,7 +254,6 @@ pub fn pipeline() -> &'static PipelineMetrics {
         decode_bytes: metrics::counter("decode.bytes"),
         decode_frames: metrics::counter("decode.frames"),
         decode_refills: metrics::counter("decode.refills"),
-        online_checks: metrics::counter("online.checks"),
         segment_sealed: metrics::counter("segment.sealed"),
         segment_deleted: metrics::counter("segment.deleted"),
         checkpoint_written: metrics::counter("checkpoint.written"),

@@ -1,20 +1,19 @@
 //! A pool of verifier threads checking per-object logs concurrently (§8).
 //!
-//! [`VerifierPool`] is the multi-object counterpart of
-//! [`OnlineVerifier`](crate::online::OnlineVerifier): it owns a
-//! [`ShardRouter`](crate::shard::ShardRouter) and a set of worker threads.
-//! Each worker pulls newly-announced shards and runs one [`Checker`] —
-//! built per object by a caller-supplied factory — over that object's
-//! event stream. Checking per object is not just parallel, it is *cheaper*:
-//! each checker carries 1/K of the specification state, so the per-commit
-//! costs that scale with spec size (observer-window snapshots, §4.3, and
-//! view comparisons, §5) shrink with it.
+//! [`VerifierPool`] owns a [`ShardRouter`](crate::shard::ShardRouter) and
+//! a set of worker threads. Each worker pulls newly-announced shards and
+//! runs one [`Checker`](crate::checker::Checker) — built per object by a
+//! caller-supplied factory — over that object's event stream. Checking
+//! per object is not just parallel, it is *cheaper*: each checker carries
+//! 1/K of the specification state, so the per-commit costs that scale
+//! with spec size (observer-window snapshots, §4.3, and view comparisons,
+//! §5) shrink with it. A one-worker pool over a single object is the
+//! online verification thread of §4.2.
 //!
-//! `finish()` follows the [`OnlineVerifier`](crate::online::OnlineVerifier)
-//! contract — close the log, join the workers, return a merged [`Report`]:
-//! stats are summed across objects, the first violation wins (ties broken
-//! by lowest object id, so the verdict is deterministic), and events
-//! appended after close are counted, not silently dropped.
+//! `finish()` closes the log, joins the workers, and returns a merged
+//! [`Report`]: stats are summed across objects, the first violation wins
+//! (ties broken by lowest object id, so the verdict is deterministic),
+//! and events appended after close are counted, not silently dropped.
 //!
 //! ```
 //! use vyrd_core::checker::Checker;
@@ -75,19 +74,19 @@ use std::time::{Duration, Instant};
 use vyrd_rt::channel::Receiver;
 use vyrd_rt::sync::Mutex;
 
-use crate::checker::Checker;
+use crate::checker::{BOUNDED_CONSUME_BATCH_MAX, CONSUME_BATCH_MAX};
 use crate::event::{Event, ObjectId};
 use crate::log::{EventLog, LogMode};
 use crate::metrics::pipeline;
 use crate::overload::{AdaptiveConfig, AdaptiveShed, ShedControl};
-use crate::replay::Replayer;
+use crate::segment::SteppingChecker;
 use crate::shard::{ShardConfig, ShardRouter};
-use crate::spec::Spec;
 use crate::violation::{Degradation, Report, ShardFailure, Violation};
 
 /// An object-erased checker: what the [`VerifierPool`] factory returns.
 ///
-/// Blanket-implemented for every [`Checker`], so a factory is typically
+/// Blanket-implemented for every [`SteppingChecker`] (every
+/// [`Checker`](crate::checker::Checker) among them), so a factory is typically
 /// `|object| Box::new(Checker::view(spec_for(object), replayer_for(object))) as _`.
 pub trait ObjectChecker: Send {
     /// Consumes the checker, checking one object's event stream to
@@ -95,9 +94,45 @@ pub trait ObjectChecker: Send {
     fn check(self: Box<Self>, receiver: &Receiver<Event>) -> Report;
 }
 
-impl<S: Spec, R: Replayer> ObjectChecker for Checker<S, R> {
+/// A type-erased stepping checker is an object checker too.
+impl ObjectChecker for Box<dyn SteppingChecker> {
     fn check(self: Box<Self>, receiver: &Receiver<Event>) -> Report {
-        (*self).check_receiver(receiver)
+        <dyn SteppingChecker as ObjectChecker>::check(*self, receiver)
+    }
+}
+
+/// The stream loop, written once for every checker: the online mode of
+/// §4.2, where the verification thread runs this while the program
+/// executes. Returns when the channel closes or the checker stops at a
+/// violation.
+///
+/// The channel is consumed **batch-at-a-time**
+/// ([`Receiver::recv_up_to`] into [`SteppingChecker::feed_batch`]): one
+/// lock round-trip and one wakeup per batch instead of per event.
+///
+/// The drain is capped by the channel's shape: an unlimited drain lets
+/// the checker disappear into a multi-millisecond processing stint while
+/// the refilled bounded channel stays full, and Shed-policy producers
+/// time out against that stint and shed — turning a saturated-but-healthy
+/// run into a gap cascade. Bounded channels (the overloadable
+/// configurations) get the tight [`BOUNDED_CONSUME_BATCH_MAX`];
+/// unbounded channels, whose producers never block, get the
+/// throughput-oriented [`CONSUME_BATCH_MAX`].
+impl<C: SteppingChecker + ?Sized> ObjectChecker for C {
+    fn check(mut self: Box<Self>, receiver: &Receiver<Event>) -> Report {
+        let cap = if receiver.capacity().is_some() {
+            BOUNDED_CONSUME_BATCH_MAX
+        } else {
+            CONSUME_BATCH_MAX
+        };
+        let mut batch: Vec<Event> = Vec::new();
+        while receiver.recv_up_to(&mut batch, cap).is_ok() {
+            if !self.feed_batch(&mut batch) {
+                break;
+            }
+            batch.clear();
+        }
+        self.finish()
     }
 }
 
@@ -510,8 +545,6 @@ impl VerifierPool {
     /// tie, so the verdict is deterministic), discarded-after-close events
     /// counted, and every degradation (sheds, lost events, restarts, shard
     /// failures) absorbed so reduced coverage is visible in the verdict.
-    /// Same contract as
-    /// [`OnlineVerifier::finish`](crate::online::OnlineVerifier::finish).
     pub fn finish(self) -> Report {
         self.finish_all().merged
     }
@@ -655,8 +688,9 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::checker::Checker;
     use crate::event::MethodId;
-    use crate::spec::{MethodKind, SpecEffect, SpecError};
+    use crate::spec::{MethodKind, Spec, SpecEffect, SpecError};
     use crate::value::Value;
     use crate::view::View;
     use std::collections::BTreeSet;
@@ -805,6 +839,37 @@ mod tests {
         let report = pool.finish();
         assert!(report.passed(), "{report}");
         assert_eq!(report.stats.events_discarded_after_close, 3);
+    }
+
+    /// Regression test for the close/drain contract: the program thread
+    /// drops its [`ThreadLogger`](crate::log::ThreadLogger) without
+    /// closing the log, so the only disconnect signal the worker ever
+    /// gets is the one [`EventLog::close`] issues inside `finish()`. If
+    /// close failed to drop the channel's sender — or if the channel
+    /// discarded buffered events on disconnect — `finish()` would block
+    /// forever on the worker join (the bug class this substrate's
+    /// drain-before-disconnect semantics exist to prevent).
+    #[test]
+    fn finish_cannot_hang_after_program_threads_drop_their_loggers() {
+        let (done_tx, done_rx) = vyrd_rt::channel::unbounded();
+        let t = thread::spawn(move || {
+            let pool = set_pool(1);
+            let logger = pool.log().logger();
+            logger.call("Add", &[Value::from(1i64)]);
+            logger.commit();
+            logger.ret("Add", Value::Unit);
+            // The program thread walks away while the worker is still
+            // blocked in recv().
+            drop(logger);
+            let _ = done_tx.send(pool.finish());
+        });
+        let report = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("finish() hung: close() must disconnect the channel sink");
+        t.join().unwrap();
+        assert!(report.passed(), "{report}");
+        // The events buffered before close() were drained, not dropped.
+        assert_eq!(report.stats.commits_applied, 1);
     }
 
     /// A checker that panics on its first `fail_times` constructions

@@ -47,12 +47,24 @@ use super::checkpoint::{self, Checkpoint};
 use super::{scan_segments, ScannedSegment};
 
 /// A checker that can be fed one event at a time and serialized between
-/// events — what the continuous verifier needs from
-/// [`Checker`](crate::checker::Checker), object-safe so checkers over
-/// different specifications can share a map.
+/// events — [`Checker`](crate::checker::Checker) with its type erased,
+/// object-safe so checkers over different specifications can share a
+/// map. Every stepping checker is also an
+/// [`ObjectChecker`](crate::pool::ObjectChecker), so the same erased
+/// checker serves the continuous verifier, a verifier pool and an online
+/// verification thread.
 pub trait SteppingChecker: Send {
     /// Feeds the next event of this object's subsequence.
     fn feed(&mut self, event: Event);
+    /// Feeds a batch of events in order, draining `batch`, and returns
+    /// whether the checker wants more events. The default feeds them one
+    /// at a time and wants none once a violation was found.
+    fn feed_batch(&mut self, batch: &mut Vec<Event>) -> bool {
+        for event in batch.drain(..) {
+            self.feed(event);
+        }
+        !self.violation_found()
+    }
     /// `true` once a violation was found.
     fn violation_found(&self) -> bool;
     /// Serializes the full checker state (see
@@ -78,6 +90,10 @@ pub trait SteppingChecker: Send {
 impl<S: Spec, R: Replayer> SteppingChecker for Checker<S, R> {
     fn feed(&mut self, event: Event) {
         Checker::feed(self, event);
+    }
+
+    fn feed_batch(&mut self, batch: &mut Vec<Event>) -> bool {
+        Checker::feed_batch(self, batch)
     }
 
     fn violation_found(&self) -> bool {
@@ -387,15 +403,15 @@ impl ContinuousVerifier {
     /// the final checkpoint.
     pub fn finalize(mut self) -> io::Result<Report> {
         self.step()?;
-        let mut crash_evidence = self.stalled;
+        let mut crash_evidence = self.stalled || !super::writer_closed(&self.dir);
         if !self.stalled {
             crash_evidence |= self.consume_tail()?;
         }
         if crash_evidence {
-            // The durable history demonstrably ends short of the real
-            // execution (unsealed tail, torn frames, or a hole), so a
-            // commit whose return is missing at EOF is lost coverage,
-            // not a malformed log.
+            // The durable history may end short of the real execution
+            // (the writer never finished, an unsealed tail, torn frames,
+            // or a hole), so a commit whose return is missing at EOF is
+            // lost coverage, not a malformed log.
             for checker in self.checkers.values_mut() {
                 checker.mark_input_truncated();
             }
@@ -688,6 +704,48 @@ mod tests {
         assert!(report.is_degraded(), "torn bytes must degrade");
         assert!(report.degradation.torn_bytes_discarded > 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A crash right after a seal leaves a sealed history that ends
+    /// inside a method execution and no unsealed tail to show the crash.
+    /// The missing clean-close marker is the crash evidence that turns
+    /// the stranded commit into lost coverage instead of a malformed log.
+    #[test]
+    fn crash_right_after_a_seal_degrades_instead_of_failing() {
+        let dir = temp_dir("continuous-crash-after-seal");
+        let crashed = temp_dir("continuous-crash-after-seal-copy");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&crashed).ok();
+        // A one-byte budget seals every event into a segment of its own.
+        let handle =
+            SegmentLogHandle::spawn(LogMode::Io, SegmentConfig::new(&dir).segment_bytes(1))
+                .unwrap();
+        let (tid, object) = (crate::event::ThreadId(0), ObjectId(0));
+        handle.append(vec![
+            Event::Call {
+                tid,
+                object,
+                method: MethodId::from("Add"),
+                args: crate::event::ArgList::from_slice(&[Value::from(1i64)]),
+            },
+            Event::Commit { tid, object },
+        ]);
+        handle.flush_sync().unwrap();
+        // What a SIGKILL would leave: the directory of a live writer.
+        std::fs::create_dir_all(&crashed).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), crashed.join(entry.file_name())).unwrap();
+        }
+        handle.finish().unwrap();
+
+        let verifier =
+            ContinuousVerifier::open(&crashed, factory(), ContinuousOptions::default()).unwrap();
+        let report = verifier.finalize().unwrap();
+        assert!(report.passed(), "{report:?}");
+        assert_eq!(report.degradation.events_lost, 1, "{report:?}");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&crashed).ok();
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!    wire format (header + CRC'd frames), named after the *durable
 //!    sequence number* of its first event. When a segment reaches the
 //!    configured byte budget it is **sealed**: flushed, fsynced, and
-//!    recorded in an append-only manifest.
+//!    recorded in an append-only manifest. A writer that finishes cleanly
+//!    leaves a `writer.closed` file behind; its absence is crash evidence.
 //! 2. **Checking** — a [`ContinuousVerifier`] consumes sealed segments
 //!    strictly in sequence order, feeding the events to per-object
 //!    checkpointable checkers. Every few segments it serializes the full
@@ -66,6 +67,16 @@ const SEGMENT_PREFIX: &str = "seg-";
 const MANIFEST_NAME: &str = "manifest.log";
 /// First line of a manifest file.
 const MANIFEST_HEADER: &str = "vyrd-segment-manifest v1";
+/// File a writer creates once it has sealed its last segment. A
+/// directory without it was left by a writer that died (or still runs),
+/// so its history may end anywhere — even right after a seal, where no
+/// unsealed tail shows the crash.
+const CLOSED_NAME: &str = "writer.closed";
+
+/// Whether the writer of `dir` finished cleanly (see [`CLOSED_NAME`]).
+pub(crate) fn writer_closed(dir: &Path) -> bool {
+    dir.join(CLOSED_NAME).exists()
+}
 
 /// Configuration of a segment directory writer.
 #[derive(Clone, Debug)]
@@ -251,6 +262,10 @@ impl SegmentLogHandle {
     /// the writer thread.
     pub(crate) fn spawn(mode: LogMode, config: SegmentConfig) -> io::Result<SegmentLogHandle> {
         fs::create_dir_all(&config.dir)?;
+        match fs::remove_file(config.dir.join(CLOSED_NAME)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         let manifest_path = config.dir.join(MANIFEST_NAME);
         let mut manifest = OpenOptions::new()
             .create(true)
@@ -365,7 +380,7 @@ impl Writer {
                     let _ = ack.send(self.flush());
                 }
                 Ok(WriterMsg::Finish(ack)) => {
-                    let result = self.seal().map(|()| SegmentWriterSummary {
+                    let result = self.close().map(|()| SegmentWriterSummary {
                         segments_sealed: self.segments_sealed,
                         events: self.next_seq,
                         bytes: self.bytes_total,
@@ -377,7 +392,7 @@ impl Writer {
                 // Every handle (and the log's sink) is gone: seal what we
                 // have and exit.
                 Err(_) => {
-                    let _ = self.seal();
+                    let _ = self.close();
                     return;
                 }
             }
@@ -449,6 +464,14 @@ impl Writer {
             pipeline().segment_sealed.inc();
         }
         Ok(())
+    }
+
+    /// Seals the open segment and marks the history finished (see
+    /// [`CLOSED_NAME`]). The marker is not fsynced: losing it to a power
+    /// failure only makes recovery treat a clean finish as a crash.
+    fn close(&mut self) -> io::Result<()> {
+        self.seal()?;
+        File::create(self.dir.join(CLOSED_NAME)).map(drop)
     }
 
     /// Flushes the open segment's buffered frames to the OS (no fsync,

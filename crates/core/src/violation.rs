@@ -270,8 +270,8 @@ pub struct CheckStats {
     /// Lin-mode windows resolved entirely through the fixed-ADT
     /// observation digest — no full specification snapshot consulted.
     pub lin_fastpath_hits: u64,
-    /// Channel batches consumed by the batched online path
-    /// (`Checker::check_receiver`'s `recv_many` loop); zero offline.
+    /// Channel batches consumed by the batched online path (the
+    /// `ObjectChecker::check` stream loop); zero offline.
     pub batches: u64,
     /// Events received through those batches. Greater than or equal to
     /// `events` when a violation stopped the run mid-batch (the rest of

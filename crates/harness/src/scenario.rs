@@ -11,10 +11,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vyrd_rt::channel::Receiver;
+use vyrd_core::checker::CheckerOptions;
 use vyrd_core::log::{EventLog, LogMode, LogStats};
 use vyrd_core::pool::{ObjectChecker, PoolReport, SupervisorConfig, VerifierPool};
 use vyrd_core::segment::{
-    ContinuousOptions, ContinuousVerifier, SegmentConfig, SegmentWriterSummary, SteppingFactory,
+    ContinuousOptions, ContinuousVerifier, SegmentConfig, SegmentWriterSummary, SteppingChecker,
+    SteppingFactory,
 };
 use vyrd_core::shard::ShardConfig;
 use vyrd_core::violation::{Report, Violation};
@@ -31,6 +33,10 @@ use crate::workload::WorkloadConfig;
 /// scenario hands to a [`VerifierPool`].
 pub type ShardFactory = Arc<dyn Fn(ObjectId) -> Box<dyn ObjectChecker> + Send + Sync>;
 
+/// Builds a fresh checker with the given options: a scenario's one
+/// checker constructor for one mode (see [`Scenario::checker`]).
+pub type CheckerFactory = Arc<dyn Fn(CheckerOptions) -> Box<dyn SteppingChecker> + Send + Sync>;
+
 /// Which bug variant of a scenario to instantiate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Variant {
@@ -38,6 +44,16 @@ pub enum Variant {
     Correct,
     /// The implementation with the scenario's known bug enabled.
     Buggy,
+}
+
+impl Variant {
+    /// `correct` or `buggy`, whichever this variant names.
+    pub(crate) fn pick<T>(self, correct: T, buggy: T) -> T {
+        match self {
+            Variant::Correct => correct,
+            Variant::Buggy => buggy,
+        }
+    }
 }
 
 /// Which refinement check to run.
@@ -53,9 +69,6 @@ pub enum CheckKind {
     /// (`vyrd_core::checker::Checker::lin`).
     Lin,
 }
-
-/// The checking modes, by their other common name.
-pub type CheckMode = CheckKind;
 
 impl CheckKind {
     /// The logging mode this check requires. Lin checking consumes the
@@ -98,6 +111,10 @@ pub struct RunArtifacts {
 }
 
 /// One benchmark system with its workload, specification, and replayer.
+///
+/// A scenario declares its checkers in one place, [`Scenario::checker`];
+/// every checking entry point — offline, online, sharded, continuous — is
+/// derived from that constructor.
 pub trait Scenario: Send + Sync {
     /// Row label, as in the paper's tables (e.g. `"Multiset-Vector"`).
     fn name(&self) -> &'static str;
@@ -105,13 +122,20 @@ pub trait Scenario: Send + Sync {
     /// The injected/known bug, as described in Table 1.
     fn bug(&self) -> &'static str;
 
-    /// Does this scenario support checking mode `kind`? A scenario
-    /// whose `check*` methods are called with an unsupported mode must
-    /// return [`unsupported_report`] — a failed verdict naming the
-    /// configuration error — rather than a vacuous PASS.
-    fn supports(&self, kind: CheckKind) -> bool {
+    /// The scenario's one checker constructor for mode `kind`, or `None`
+    /// when it cannot check `kind` (the default). Every checking method
+    /// below is derived from it.
+    fn checker(&self, kind: CheckKind) -> Option<CheckerFactory> {
         let _ = kind;
-        true
+        None
+    }
+
+    /// Does this scenario support checking mode `kind`, i.e. does it
+    /// have a checker for it? The `check*` methods called with an
+    /// unsupported mode return [`unsupported_report`] — a failed verdict
+    /// naming the configuration error — rather than a vacuous PASS.
+    fn supports(&self, kind: CheckKind) -> bool {
+        self.checker(kind).is_some()
     }
 
     /// Runs the workload against a fresh instance that records into
@@ -119,14 +143,32 @@ pub trait Scenario: Send + Sync {
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant);
 
     /// Checks a recorded log offline (stops at the first violation).
-    fn check(&self, kind: CheckKind, events: Vec<Event>) -> Report;
+    fn check(&self, kind: CheckKind, events: Vec<Event>) -> Report {
+        check_events(self, kind, CheckerOptions::default(), events)
+    }
 
     /// Checks a recorded log offline, consuming the whole trace even
     /// after a violation — the cost basis for Table 1's CPU-ratio column.
-    fn check_full(&self, kind: CheckKind, events: Vec<Event>) -> Report;
+    fn check_full(&self, kind: CheckKind, events: Vec<Event>) -> Report {
+        let options = CheckerOptions {
+            stop_at_first_violation: false,
+            ..CheckerOptions::default()
+        };
+        check_events(self, kind, options, events)
+    }
 
     /// Checks a live event stream (for the online verification thread).
-    fn check_stream(&self, kind: CheckKind, receiver: &Receiver<Event>) -> Report;
+    /// An unsupported mode drains the stream first, so the producer side
+    /// never blocks on an abandoned channel.
+    fn check_stream(&self, kind: CheckKind, receiver: &Receiver<Event>) -> Report {
+        match self.checker(kind) {
+            Some(make) => ObjectChecker::check(make(CheckerOptions::default()), receiver),
+            None => {
+                while receiver.recv().is_ok() {}
+                unsupported_report(self.name(), kind)
+            }
+        }
+    }
 
     /// Runs the workload over `objects` independent instances of the data
     /// structure, each logging under its own [`ObjectId`] (via
@@ -138,20 +180,24 @@ pub trait Scenario: Send + Sync {
     }
 
     /// The per-object checker factory for sharded verification, or `None`
-    /// when the scenario has no multi-object mode (the default).
+    /// when the scenario has no checker for `kind`.
     fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        let _ = kind;
-        None
+        let make = self.checker(kind)?;
+        Some(Arc::new(move |_object| {
+            Box::new(make(CheckerOptions::default())) as Box<dyn ObjectChecker>
+        }))
     }
 
     /// The per-object *checkpointable* checker factory for the continuous
-    /// verification service, or `None` when the scenario's spec/replayer
-    /// cannot serialize its state for `kind` (the default). I/O-mode
-    /// checkers need only the spec to be checkpointable; view-mode
-    /// checkers additionally need the replayer.
+    /// verification service, or `None` when the scenario's checker for
+    /// `kind` cannot serialize its state — computed by checkpointing a
+    /// freshly built checker. I/O- and Lin-mode checkers need only the
+    /// spec to be checkpointable; view-mode checkers additionally need
+    /// the replayer.
     fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        let _ = kind;
-        None
+        let make = self.checker(kind)?;
+        make(CheckerOptions::default()).save_state().ok()?;
+        Some(Arc::new(move |_object| make(CheckerOptions::default())))
     }
 
     /// The counterexample minimizer for this scenario family. The
@@ -173,6 +219,28 @@ pub trait Scenario: Send + Sync {
         let _ = kind;
         Box::new(BasicExplainer)
     }
+}
+
+/// Checks a recorded log with `scenario`'s `kind` checker, feeding and
+/// processing one event at a time.
+fn check_events<T: Scenario + ?Sized>(
+    scenario: &T,
+    kind: CheckKind,
+    options: CheckerOptions,
+    events: Vec<Event>,
+) -> Report {
+    let Some(make) = scenario.checker(kind) else {
+        return unsupported_report(scenario.name(), kind);
+    };
+    let stop = options.stop_at_first_violation;
+    let mut checker = make(options);
+    for event in events {
+        if stop && checker.violation_found() {
+            break;
+        }
+        checker.feed(event);
+    }
+    checker.finish()
 }
 
 /// Builds a [`Counterexample`] for a failing check of `scenario` in
@@ -354,21 +422,41 @@ pub fn run_online_sharded_with(
     shard_config: ShardConfig,
     supervisor: SupervisorConfig,
 ) -> Option<(Duration, PoolReport)> {
-    let factory = scenario.shard_factory(kind)?;
-    let pool = VerifierPool::spawn_supervised(
-        kind.log_mode(),
-        workers,
-        shard_config,
-        supervisor,
-        move |object| factory(object),
-    );
+    let (wall, _, report) = run_pooled(scenario, cfg, kind, variant, objects, |factory| {
+        VerifierPool::spawn_supervised(
+            kind.log_mode(),
+            workers,
+            shard_config,
+            supervisor,
+            move |object| factory(object),
+        )
+    })?;
+    Some((wall, report))
+}
+
+/// Runs a scenario's multi-object workload against the pool `spawn`
+/// builds from the scenario's shard factory, then collects the pool's
+/// report. Also returns the workload wall time and the program-side log
+/// counters, read after the workload and before the pool folds its
+/// ledger. `None` when the scenario has no multi-object mode or no
+/// checker for `kind`.
+fn run_pooled(
+    scenario: &dyn Scenario,
+    cfg: &WorkloadConfig,
+    kind: CheckKind,
+    variant: Variant,
+    objects: u32,
+    spawn: impl FnOnce(ShardFactory) -> VerifierPool,
+) -> Option<(Duration, LogStats, PoolReport)> {
+    let pool = spawn(scenario.shard_factory(kind)?);
     let run_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         timed(|| scenario.run_multi(cfg, pool.log(), variant, objects))
     }));
     match run_result {
         Ok((supported, wall)) => {
-            let all = pool.finish_all();
-            supported.then_some((wall, all))
+            let log_stats = pool.log().stats();
+            let report = pool.finish_all();
+            supported.then_some((wall, log_stats, report))
         }
         Err(panic) => {
             // Unblock the workers before unwinding; dropping the pool
@@ -413,32 +501,20 @@ pub fn run_soak(
     adaptive: AdaptiveConfig,
     supervisor: SupervisorConfig,
 ) -> Option<SoakArtifacts> {
-    let factory = scenario.shard_factory(kind)?;
-    let pool = VerifierPool::spawn_adaptive(
-        kind.log_mode(),
-        workers,
-        adaptive,
-        supervisor,
-        move |object| factory(object),
-    );
-    let run_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        timed(|| scenario.run_multi(cfg, pool.log(), variant, objects))
-    }));
-    match run_result {
-        Ok((supported, wall)) => {
-            let log_stats = pool.log().stats();
-            let report = pool.finish_all();
-            supported.then_some(SoakArtifacts {
-                wall,
-                report,
-                log_stats,
-            })
-        }
-        Err(panic) => {
-            pool.log().close();
-            std::panic::resume_unwind(panic)
-        }
-    }
+    let (wall, log_stats, report) = run_pooled(scenario, cfg, kind, variant, objects, |factory| {
+        VerifierPool::spawn_adaptive(
+            kind.log_mode(),
+            workers,
+            adaptive,
+            supervisor,
+            move |object| factory(object),
+        )
+    })?;
+    Some(SoakArtifacts {
+        wall,
+        report,
+        log_stats,
+    })
 }
 
 /// What a continuous (durably segmented) run produced.

@@ -1,38 +1,36 @@
 //! The six benchmark systems of Tables 1–3, wired to the §7.1 workload
 //! driver.
 
-use vyrd_blinktree::{BLinkReplayer, BLinkSpec, BLinkTree, BLinkVariant};
-use vyrd_core::checker::{Checker, CheckerOptions};
+use vyrd_blinktree::{BLinkReplayer, BLinkSpec, BLinkTree, BLinkTreeHandle, BLinkVariant};
+use vyrd_core::checker::{Checker, NoopReplayer};
 use vyrd_core::log::EventLog;
-use vyrd_core::violation::Report;
-use vyrd_core::Event;
+use vyrd_core::replay::Replayer;
 use vyrd_javalib::{
-    BufferPool, StringBufferReplayer, StringBufferSpec, StringBufferVariant, SyncVector,
-    VectorReplayer, VectorSpec, VectorVariant,
+    BufferPool, BufferPoolHandle, StringBufferReplayer, StringBufferSpec, StringBufferVariant,
+    SyncVector, SyncVectorHandle, VectorReplayer, VectorSpec, VectorVariant,
 };
 use vyrd_lockfree::{
-    MsQueue, QueueSpec, QueueVariant, StackSpec, StackVariant, TreiberStack,
+    MsQueue, MsQueueHandle, QueueSpec, QueueVariant, StackSpec, StackVariant, TreiberStack,
+    TreiberStackHandle,
 };
 use vyrd_multiset::{
-    BstMultiset, BstReplayer, BstVariant, FindSlotVariant, MultisetSpec, SlotReplayer,
-    VectorMultiset,
+    BstMultiset, BstMultisetHandle, BstReplayer, BstVariant, FindSlotVariant, MultisetSpec,
+    SlotReplayer, VectorMultiset, VectorMultisetHandle,
 };
 use vyrd_storage::{
-    clean_matches_chunk, entry_in_exactly_one_list, BoxCache, CacheReplayer, CacheVariant,
-    ChunkManager, StoreSpec,
+    clean_matches_chunk, entry_in_exactly_one_list, BoxCache, BoxCacheHandle, CacheReplayer,
+    CacheVariant, ChunkManager, StoreSpec,
 };
 
 use std::sync::Arc;
 
-use vyrd_core::pool::ObjectChecker;
-use vyrd_core::segment::{SteppingChecker, SteppingFactory};
 use vyrd_core::spec::Spec;
 use vyrd_core::witness::{
     BasicExplainer, DdminMinimizer, Explainer, LinExplainer, Minimizer, ViewExplainer,
 };
 use vyrd_core::ObjectId;
 
-use crate::scenario::{unsupported_report, CheckKind, Scenario, ShardFactory, Variant};
+use crate::scenario::{CheckKind, CheckerFactory, Scenario, Variant};
 use crate::workload::{OpBudget, ThreadWorkload, WorkloadConfig};
 
 /// All six table rows, in the paper's order.
@@ -112,81 +110,105 @@ where
     });
 }
 
-
-/// A continuous-verification factory over spec-only (I/O or Lin mode)
-/// checkers of `make`'s specification. Every spec in this module is
-/// checkpointable, so every scenario supports continuous I/O and Lin
-/// checking; view-mode support additionally needs a checkpointable
-/// replayer (the cache and both multiset replayers have one) and is
-/// handled per scenario.
-fn spec_stepping<S, F>(kind: CheckKind, make: F) -> Option<SteppingFactory>
-where
-    S: Spec + 'static,
-    F: Fn() -> S + Send + Sync + 'static,
+/// Drives the workload against one instance: each thread takes a handle
+/// on it and makes every call through that handle.
+fn drive_one<T, H, K>(
+    cfg: &WorkloadConfig,
+    instance: &T,
+    handle: fn(&T) -> H,
+    call: fn(&H, &mut ThreadWorkload, usize),
+    task: Option<K>,
+) where
+    T: Sync,
+    K: FnMut() + Send,
 {
-    match kind {
-        CheckKind::Io => {
-            Some(Arc::new(move |_object| Box::new(Checker::io(make())) as Box<dyn SteppingChecker>))
-        }
-        CheckKind::Lin => Some(Arc::new(move |_object| {
-            Box::new(Checker::lin(make())) as Box<dyn SteppingChecker>
-        })),
-        CheckKind::View => None,
-    }
+    drive(
+        cfg,
+        |_, mut wl, ops| {
+            let h = handle(instance);
+            for i in ops {
+                call(&h, &mut wl, i);
+            }
+        },
+        task,
+    );
 }
 
-/// Generates the three `Scenario` checking methods from the scenario's
-/// specification / replayer constructors (plus optional invariants).
-macro_rules! impl_checks {
-    ($spec:expr, $replayer:expr $(, $inv:expr)* $(,)?) => {
-        fn check(&self, kind: CheckKind, events: Vec<Event>) -> Report {
-            match kind {
-                CheckKind::Io => Checker::io($spec).check_events(events),
-                CheckKind::Lin => Checker::lin($spec).check_events(events),
-                CheckKind::View => Checker::view($spec, $replayer)
-                    $(.with_invariant($inv))*
-                    .check_events(events),
+/// Drives the workload against several instances (§8 multi-object mode):
+/// each call picks an instance from the workload stream and takes a fresh
+/// handle on it.
+fn drive_each<T, H, K>(
+    cfg: &WorkloadConfig,
+    instances: &[T],
+    handle: fn(&T) -> H,
+    call: fn(&H, &mut ThreadWorkload, usize),
+    task: Option<K>,
+) where
+    T: Sync,
+    K: FnMut() + Send,
+{
+    drive(
+        cfg,
+        |_, mut wl, ops| {
+            for i in ops {
+                let h = handle(&instances[wl.next_int(instances.len() as i64) as usize]);
+                call(&h, &mut wl, i);
             }
-        }
+        },
+        task,
+    );
+}
 
-        fn check_full(&self, kind: CheckKind, events: Vec<Event>) -> Report {
-            let options = CheckerOptions {
-                stop_at_first_violation: false,
-                ..CheckerOptions::default()
-            };
-            match kind {
-                CheckKind::Io => Checker::io($spec)
-                    .with_options(options)
-                    .check_events(events),
-                CheckKind::Lin => Checker::lin($spec)
-                    .with_options(options)
-                    .check_events(events),
-                CheckKind::View => Checker::view($spec, $replayer)
-                    $(.with_invariant($inv))*
-                    .with_options(options)
-                    .check_events(events),
-            }
+/// A scenario's checker constructor for `kind`: I/O and Lin checkers over
+/// a fresh `spec()`, and in view mode the checker `view` builds around it
+/// (`None` when the scenario cannot check view refinement).
+fn checkers<S, R>(
+    kind: CheckKind,
+    spec: fn() -> S,
+    view: Option<fn(S) -> Checker<S, R>>,
+) -> Option<CheckerFactory>
+where
+    S: Spec + 'static,
+    R: Replayer + 'static,
+{
+    let factory: CheckerFactory = match kind {
+        CheckKind::Io => {
+            Arc::new(move |options| Box::new(Checker::io(spec()).with_options(options)))
         }
-
-        fn check_stream(
-            &self,
-            kind: CheckKind,
-            receiver: &vyrd_rt::channel::Receiver<Event>,
-        ) -> Report {
-            match kind {
-                CheckKind::Io => Checker::io($spec).check_receiver(receiver),
-                CheckKind::Lin => Checker::lin($spec).check_receiver(receiver),
-                CheckKind::View => Checker::view($spec, $replayer)
-                    $(.with_invariant($inv))*
-                    .check_receiver(receiver),
-            }
+        CheckKind::Lin => {
+            Arc::new(move |options| Box::new(Checker::lin(spec()).with_options(options)))
+        }
+        CheckKind::View => {
+            let view = view?;
+            Arc::new(move |options| Box::new(view(spec()).with_options(options)))
         }
     };
+    Some(factory)
 }
 
 // ---------------------------------------------------------------------
 // Multiset-Vector — "moving acquire in FindSlot" (Fig. 5)
 // ---------------------------------------------------------------------
+
+/// One workload call against a growable multiset.
+fn multiset_op(h: &VectorMultisetHandle, wl: &mut ThreadWorkload, _i: usize) {
+    let op = wl.next_op(&[3, 2, 3, 2]);
+    let x = wl.next_key();
+    match op {
+        0 => {
+            h.insert(x);
+        }
+        1 => {
+            h.insert_pair(x, wl.next_key());
+        }
+        2 => {
+            h.delete(x);
+        }
+        _ => {
+            h.lookup(x);
+        }
+    }
+}
 
 /// The growable multiset with the Fig. 5 `FindSlot` bug.
 #[derive(Debug)]
@@ -202,52 +224,28 @@ impl Scenario for MultisetVectorScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let fs = match variant {
-            Variant::Correct => FindSlotVariant::Correct,
-            Variant::Buggy => FindSlotVariant::Buggy,
-        };
+        let fs = variant.pick(FindSlotVariant::Correct, FindSlotVariant::Buggy);
         let ms = VectorMultiset::new(fs, log.clone());
         let task = cfg.internal_task.then(|| {
             let h = ms.handle();
             move || h.compress()
         });
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = ms.handle();
-                while ops.next().is_some() {
-                    let op = wl.next_op(&[3, 2, 3, 2]);
-                    let x = wl.next_key();
-                    match op {
-                        0 => {
-                            h.insert(x);
-                        }
-                        1 => {
-                            h.insert_pair(x, wl.next_key());
-                        }
-                        2 => {
-                            h.delete(x);
-                        }
-                        _ => {
-                            h.lookup(x);
-                        }
-                    }
-                }
-            },
-            task,
-        );
+        drive_one(cfg, &ms, VectorMultiset::handle, multiset_op, task);
     }
 
-    impl_checks!(MultisetSpec::new(), SlotReplayer::new());
+    fn checker(&self, kind: CheckKind) -> Option<CheckerFactory> {
+        checkers(
+            kind,
+            MultisetSpec::new,
+            Some(|spec| Checker::view(spec, SlotReplayer::new())),
+        )
+    }
 
     /// §8 multi-object mode: `objects` independent multisets, each
     /// logging under its own [`ObjectId`]; every call picks an instance
     /// from the workload stream.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let fs = match variant {
-            Variant::Correct => FindSlotVariant::Correct,
-            Variant::Buggy => FindSlotVariant::Buggy,
-        };
+        let fs = variant.pick(FindSlotVariant::Correct, FindSlotVariant::Buggy);
         let sets: Vec<VectorMultiset> = (0..objects.max(1))
             .map(|i| VectorMultiset::new(fs, log.with_object(ObjectId(i))))
             .collect();
@@ -259,50 +257,8 @@ impl Scenario for MultisetVectorScenario {
                 next += 1;
             }
         });
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                while ops.next().is_some() {
-                    let h = sets[wl.next_int(sets.len() as i64) as usize].handle();
-                    let op = wl.next_op(&[3, 2, 3, 2]);
-                    let x = wl.next_key();
-                    match op {
-                        0 => {
-                            h.insert(x);
-                        }
-                        1 => {
-                            h.insert_pair(x, wl.next_key());
-                        }
-                        2 => {
-                            h.delete(x);
-                        }
-                        _ => {
-                            h.lookup(x);
-                        }
-                    }
-                }
-            },
-            task,
-        );
+        drive_each(cfg, &sets, VectorMultiset::handle, multiset_op, task);
         true
-    }
-
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        Some(Arc::new(move |_object| match kind {
-            CheckKind::Io => Box::new(Checker::io(MultisetSpec::new())) as Box<dyn ObjectChecker>,
-            CheckKind::Lin => Box::new(Checker::lin(MultisetSpec::new())),
-            CheckKind::View => Box::new(Checker::view(MultisetSpec::new(), SlotReplayer::new())),
-        }))
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        match kind {
-            CheckKind::View => Some(Arc::new(|_object| {
-                Box::new(Checker::view(MultisetSpec::new(), SlotReplayer::new()))
-                    as Box<dyn SteppingChecker>
-            })),
-            _ => spec_stepping(kind, MultisetSpec::new),
-        }
     }
 
     fn minimizer(&self, _kind: CheckKind) -> Box<dyn Minimizer> {
@@ -321,6 +277,23 @@ impl Scenario for MultisetVectorScenario {
 // Multiset-BinaryTree — "unlocking parent before insertion"
 // ---------------------------------------------------------------------
 
+/// One workload call against a BST multiset.
+fn bst_op(h: &BstMultisetHandle, wl: &mut ThreadWorkload, _i: usize) {
+    let op = wl.next_op(&[5, 2, 3]);
+    let x = wl.next_key();
+    match op {
+        0 => {
+            h.insert(x);
+        }
+        1 => {
+            h.delete(x);
+        }
+        _ => {
+            h.lookup(x);
+        }
+    }
+}
+
 /// The BST multiset with the lost-insert bug.
 #[derive(Debug)]
 pub struct MultisetBstScenario;
@@ -335,50 +308,29 @@ impl Scenario for MultisetBstScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => BstVariant::Correct,
-            Variant::Buggy => BstVariant::UnlockParentEarly,
-        };
+        let v = variant.pick(BstVariant::Correct, BstVariant::UnlockParentEarly);
         let ms = BstMultiset::new(v, log.clone());
         let task = cfg.internal_task.then(|| {
             let h = ms.handle();
             move || h.compress()
         });
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = ms.handle();
-                while ops.next().is_some() {
-                    let op = wl.next_op(&[5, 2, 3]);
-                    let x = wl.next_key();
-                    match op {
-                        0 => {
-                            h.insert(x);
-                        }
-                        1 => {
-                            h.delete(x);
-                        }
-                        _ => {
-                            h.lookup(x);
-                        }
-                    }
-                }
-            },
-            task,
-        );
+        drive_one(cfg, &ms, BstMultiset::handle, bst_op, task);
     }
 
-    impl_checks!(MultisetSpec::new(), BstReplayer::new());
+    fn checker(&self, kind: CheckKind) -> Option<CheckerFactory> {
+        checkers(
+            kind,
+            MultisetSpec::new,
+            Some(|spec| Checker::view(spec, BstReplayer::new())),
+        )
+    }
 
     /// §8 multi-object mode: `objects` independent BST multisets, each
     /// logging under its own [`ObjectId`]; every call picks an instance
     /// from the workload stream. The compressor services the trees in
     /// rotation.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => BstVariant::Correct,
-            Variant::Buggy => BstVariant::UnlockParentEarly,
-        };
+        let v = variant.pick(BstVariant::Correct, BstVariant::UnlockParentEarly);
         let sets: Vec<BstMultiset> = (0..objects.max(1))
             .map(|i| BstMultiset::new(v, log.with_object(ObjectId(i))))
             .collect();
@@ -390,47 +342,8 @@ impl Scenario for MultisetBstScenario {
                 next += 1;
             }
         });
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                while ops.next().is_some() {
-                    let h = sets[wl.next_int(sets.len() as i64) as usize].handle();
-                    let op = wl.next_op(&[5, 2, 3]);
-                    let x = wl.next_key();
-                    match op {
-                        0 => {
-                            h.insert(x);
-                        }
-                        1 => {
-                            h.delete(x);
-                        }
-                        _ => {
-                            h.lookup(x);
-                        }
-                    }
-                }
-            },
-            task,
-        );
+        drive_each(cfg, &sets, BstMultiset::handle, bst_op, task);
         true
-    }
-
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        Some(Arc::new(move |_object| match kind {
-            CheckKind::Io => Box::new(Checker::io(MultisetSpec::new())) as Box<dyn ObjectChecker>,
-            CheckKind::Lin => Box::new(Checker::lin(MultisetSpec::new())),
-            CheckKind::View => Box::new(Checker::view(MultisetSpec::new(), BstReplayer::new())),
-        }))
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        match kind {
-            CheckKind::View => Some(Arc::new(|_object| {
-                Box::new(Checker::view(MultisetSpec::new(), BstReplayer::new()))
-                    as Box<dyn SteppingChecker>
-            })),
-            _ => spec_stepping(kind, MultisetSpec::new),
-        }
     }
 
     fn minimizer(&self, _kind: CheckKind) -> Box<dyn Minimizer> {
@@ -449,6 +362,22 @@ impl Scenario for MultisetBstScenario {
 // java.util.Vector — "taking length non-atomically in lastIndexOf()"
 // ---------------------------------------------------------------------
 
+/// One workload call against a synchronized vector.
+fn vector_op(h: &SyncVectorHandle, wl: &mut ThreadWorkload, _i: usize) {
+    match wl.next_op(&[4, 3, 3, 1]) {
+        0 => h.add(wl.next_key()),
+        1 => {
+            h.remove_last();
+        }
+        2 => {
+            h.last_index_of(wl.next_key());
+        }
+        _ => {
+            h.size();
+        }
+    }
+}
+
 /// The synchronized vector with the observer-side bug.
 #[derive(Debug)]
 pub struct JavaVectorScenario;
@@ -463,50 +392,29 @@ impl Scenario for JavaVectorScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => VectorVariant::Correct,
-            Variant::Buggy => VectorVariant::Buggy,
-        };
+        let v = variant.pick(VectorVariant::Correct, VectorVariant::Buggy);
         let vec = SyncVector::new(v, log.clone());
         // Seed so early removeLast/lastIndexOf have content to race on.
         let seeder = vec.handle();
         for i in 0..8 {
             seeder.add(i);
         }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = vec.handle();
-                while ops.next().is_some() {
-                    let op = wl.next_op(&[4, 3, 3, 1]);
-                    match op {
-                        0 => h.add(wl.next_key()),
-                        1 => {
-                            h.remove_last();
-                        }
-                        2 => {
-                            h.last_index_of(wl.next_key());
-                        }
-                        _ => {
-                            h.size();
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        drive_one(cfg, &vec, SyncVector::handle, vector_op, None::<fn()>);
     }
 
-    impl_checks!(VectorSpec::new(), VectorReplayer::new());
+    fn checker(&self, kind: CheckKind) -> Option<CheckerFactory> {
+        checkers(
+            kind,
+            VectorSpec::new,
+            Some(|spec| Checker::view(spec, VectorReplayer::new())),
+        )
+    }
 
     /// §8 multi-object mode: `objects` independent vectors, each seeded
     /// and logging under its own [`ObjectId`]; every call picks an
     /// instance from the workload stream.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => VectorVariant::Correct,
-            Variant::Buggy => VectorVariant::Buggy,
-        };
+        let v = variant.pick(VectorVariant::Correct, VectorVariant::Buggy);
         let vecs: Vec<SyncVector> = (0..objects.max(1))
             .map(|i| SyncVector::new(v, log.with_object(ObjectId(i))))
             .collect();
@@ -516,41 +424,8 @@ impl Scenario for JavaVectorScenario {
                 seeder.add(i);
             }
         }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                while ops.next().is_some() {
-                    let h = vecs[wl.next_int(vecs.len() as i64) as usize].handle();
-                    let op = wl.next_op(&[4, 3, 3, 1]);
-                    match op {
-                        0 => h.add(wl.next_key()),
-                        1 => {
-                            h.remove_last();
-                        }
-                        2 => {
-                            h.last_index_of(wl.next_key());
-                        }
-                        _ => {
-                            h.size();
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        drive_each(cfg, &vecs, SyncVector::handle, vector_op, None::<fn()>);
         true
-    }
-
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        Some(Arc::new(move |_object| match kind {
-            CheckKind::Io => Box::new(Checker::io(VectorSpec::new())) as Box<dyn ObjectChecker>,
-            CheckKind::Lin => Box::new(Checker::lin(VectorSpec::new())),
-            CheckKind::View => Box::new(Checker::view(VectorSpec::new(), VectorReplayer::new())),
-        }))
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        spec_stepping(kind, VectorSpec::new)
     }
 }
 
@@ -559,6 +434,22 @@ impl Scenario for JavaVectorScenario {
 // ---------------------------------------------------------------------
 
 const SB_BUFFERS: usize = 4;
+
+/// One workload call against a string-buffer pool.
+fn buffer_op(h: &BufferPoolHandle, wl: &mut ThreadWorkload, _i: usize) {
+    let op = wl.next_op(&[3, 4, 3, 1]);
+    let id = wl.next_int(SB_BUFFERS as i64);
+    match op {
+        0 => h.append(id, "ab"),
+        1 => {
+            h.append_buffer(id, wl.next_int(SB_BUFFERS as i64));
+        }
+        2 => h.set_length(id, wl.next_int(12) as usize),
+        _ => {
+            h.length(id);
+        }
+    }
+}
 
 /// The string-buffer pool with the unprotected-copy bug.
 #[derive(Debug)]
@@ -574,51 +465,28 @@ impl Scenario for StringBufferScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => StringBufferVariant::Correct,
-            Variant::Buggy => StringBufferVariant::Buggy,
-        };
+        let v = variant.pick(StringBufferVariant::Correct, StringBufferVariant::Buggy);
         let pool = BufferPool::new(SB_BUFFERS, v, log.clone());
         let seeder = pool.handle();
         for id in 0..SB_BUFFERS as i64 {
             seeder.append(id, "0123456789");
         }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = pool.handle();
-                while ops.next().is_some() {
-                    let op = wl.next_op(&[3, 4, 3, 1]);
-                    let id = wl.next_int(SB_BUFFERS as i64);
-                    match op {
-                        0 => h.append(id, "ab"),
-                        1 => {
-                            h.append_buffer(id, wl.next_int(SB_BUFFERS as i64));
-                        }
-                        2 => h.set_length(id, wl.next_int(12) as usize),
-                        _ => {
-                            h.length(id);
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        drive_one(cfg, &pool, BufferPool::handle, buffer_op, None::<fn()>);
     }
 
-    impl_checks!(
-        StringBufferSpec::new(SB_BUFFERS),
-        StringBufferReplayer::with_buffers(SB_BUFFERS),
-    );
+    fn checker(&self, kind: CheckKind) -> Option<CheckerFactory> {
+        checkers(
+            kind,
+            || StringBufferSpec::new(SB_BUFFERS),
+            Some(|spec| Checker::view(spec, StringBufferReplayer::with_buffers(SB_BUFFERS))),
+        )
+    }
 
     /// §8 multi-object mode: `objects` independent buffer pools, each
     /// seeded and logging under its own [`ObjectId`]; every call picks a
     /// pool from the workload stream.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => StringBufferVariant::Correct,
-            Variant::Buggy => StringBufferVariant::Buggy,
-        };
+        let v = variant.pick(StringBufferVariant::Correct, StringBufferVariant::Buggy);
         let pools: Vec<BufferPool> = (0..objects.max(1))
             .map(|i| BufferPool::new(SB_BUFFERS, v, log.with_object(ObjectId(i))))
             .collect();
@@ -628,51 +496,29 @@ impl Scenario for StringBufferScenario {
                 seeder.append(id, "0123456789");
             }
         }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                while ops.next().is_some() {
-                    let h = pools[wl.next_int(pools.len() as i64) as usize].handle();
-                    let op = wl.next_op(&[3, 4, 3, 1]);
-                    let id = wl.next_int(SB_BUFFERS as i64);
-                    match op {
-                        0 => h.append(id, "ab"),
-                        1 => {
-                            h.append_buffer(id, wl.next_int(SB_BUFFERS as i64));
-                        }
-                        2 => h.set_length(id, wl.next_int(12) as usize),
-                        _ => {
-                            h.length(id);
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        drive_each(cfg, &pools, BufferPool::handle, buffer_op, None::<fn()>);
         true
-    }
-
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        Some(Arc::new(move |_object| match kind {
-            CheckKind::Io => {
-                Box::new(Checker::io(StringBufferSpec::new(SB_BUFFERS))) as Box<dyn ObjectChecker>
-            }
-            CheckKind::Lin => Box::new(Checker::lin(StringBufferSpec::new(SB_BUFFERS))),
-            CheckKind::View => Box::new(Checker::view(
-                StringBufferSpec::new(SB_BUFFERS),
-                StringBufferReplayer::with_buffers(SB_BUFFERS),
-            )),
-        }))
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        spec_stepping(kind, || StringBufferSpec::new(SB_BUFFERS))
     }
 }
 
 // ---------------------------------------------------------------------
 // BLinkTree — "allowing duplicated data nodes"
 // ---------------------------------------------------------------------
+
+/// Workload call number `i` against a B-link tree.
+fn blink_op(h: &BLinkTreeHandle, wl: &mut ThreadWorkload, i: usize) {
+    let op = wl.next_op(&[5, 2, 3]);
+    let k = wl.next_key();
+    match op {
+        0 => h.insert(k, i as i64),
+        1 => {
+            h.delete(k);
+        }
+        _ => {
+            h.lookup(k);
+        }
+    }
+}
 
 /// The B-link tree with the duplicate-data-node bug.
 #[derive(Debug)]
@@ -688,47 +534,28 @@ impl Scenario for BLinkTreeScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => BLinkVariant::Correct,
-            Variant::Buggy => BLinkVariant::DuplicateDataNodes,
-        };
+        let v = variant.pick(BLinkVariant::Correct, BLinkVariant::DuplicateDataNodes);
         let tree = BLinkTree::new(v, log.clone());
         let task = cfg.internal_task.then(|| {
             let h = tree.handle();
             move || h.compress()
         });
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = tree.handle();
-                for i in ops.by_ref() {
-                    let op = wl.next_op(&[5, 2, 3]);
-                    let k = wl.next_key();
-                    match op {
-                        0 => h.insert(k, i as i64),
-                        1 => {
-                            h.delete(k);
-                        }
-                        _ => {
-                            h.lookup(k);
-                        }
-                    }
-                }
-            },
-            task,
-        );
+        drive_one(cfg, &tree, BLinkTree::handle, blink_op, task);
     }
 
-    impl_checks!(BLinkSpec::new(), BLinkReplayer::new());
+    fn checker(&self, kind: CheckKind) -> Option<CheckerFactory> {
+        checkers(
+            kind,
+            BLinkSpec::new,
+            Some(|spec| Checker::view(spec, BLinkReplayer::new())),
+        )
+    }
 
     /// §8 multi-object mode: `objects` independent trees, each logging
     /// under its own [`ObjectId`]; every call picks a tree from the
     /// workload stream. The compressor services the trees in rotation.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => BLinkVariant::Correct,
-            Variant::Buggy => BLinkVariant::DuplicateDataNodes,
-        };
+        let v = variant.pick(BLinkVariant::Correct, BLinkVariant::DuplicateDataNodes);
         let trees: Vec<BLinkTree> = (0..objects.max(1))
             .map(|i| BLinkTree::new(v, log.with_object(ObjectId(i))))
             .collect();
@@ -740,39 +567,8 @@ impl Scenario for BLinkTreeScenario {
                 next += 1;
             }
         });
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                for i in ops.by_ref() {
-                    let h = trees[wl.next_int(trees.len() as i64) as usize].handle();
-                    let op = wl.next_op(&[5, 2, 3]);
-                    let k = wl.next_key();
-                    match op {
-                        0 => h.insert(k, i as i64),
-                        1 => {
-                            h.delete(k);
-                        }
-                        _ => {
-                            h.lookup(k);
-                        }
-                    }
-                }
-            },
-            task,
-        );
+        drive_each(cfg, &trees, BLinkTree::handle, blink_op, task);
         true
-    }
-
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        Some(Arc::new(move |_object| match kind {
-            CheckKind::Io => Box::new(Checker::io(BLinkSpec::new())) as Box<dyn ObjectChecker>,
-            CheckKind::Lin => Box::new(Checker::lin(BLinkSpec::new())),
-            CheckKind::View => Box::new(Checker::view(BLinkSpec::new(), BLinkReplayer::new())),
-        }))
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        spec_stepping(kind, BLinkSpec::new)
     }
 }
 
@@ -782,6 +578,19 @@ impl Scenario for BLinkTreeScenario {
 
 const CACHE_HANDLES: i64 = 6;
 const CACHE_BUF: usize = 64;
+
+/// Workload call number `i` against a Boxwood cache.
+fn cache_op(h: &BoxCacheHandle, wl: &mut ThreadWorkload, i: usize) {
+    let op = wl.next_op(&[6, 3, 1]);
+    let handle = wl.next_int(CACHE_HANDLES);
+    match op {
+        0 => h.write(handle, vec![(i % 251) as u8; CACHE_BUF]),
+        1 => {
+            h.read(handle);
+        }
+        _ => h.revoke(handle),
+    }
+}
 
 /// The Boxwood cache with the §7.2.2 bug.
 #[derive(Debug)]
@@ -797,10 +606,7 @@ impl Scenario for CacheScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => CacheVariant::Correct,
-            Variant::Buggy => CacheVariant::Buggy,
-        };
+        let v = variant.pick(CacheVariant::Correct, CacheVariant::Buggy);
         let cache = BoxCache::new(ChunkManager::new(), v, log.clone());
         // The flusher plays the internal-task role; without it the bug
         // cannot manifest, so it always runs.
@@ -808,41 +614,26 @@ impl Scenario for CacheScenario {
             let h = cache.handle();
             move || h.flush()
         };
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = cache.handle();
-                for i in ops.by_ref() {
-                    let op = wl.next_op(&[6, 3, 1]);
-                    let handle = wl.next_int(CACHE_HANDLES);
-                    match op {
-                        0 => h.write(handle, vec![(i % 251) as u8; CACHE_BUF]),
-                        1 => {
-                            h.read(handle);
-                        }
-                        _ => h.revoke(handle),
-                    }
-                }
-            },
-            Some(flusher),
-        );
+        drive_one(cfg, &cache, BoxCache::handle, cache_op, Some(flusher));
     }
 
-    impl_checks!(
-        StoreSpec::new(),
-        CacheReplayer::new(),
-        clean_matches_chunk(),
-        entry_in_exactly_one_list(),
-    );
+    fn checker(&self, kind: CheckKind) -> Option<CheckerFactory> {
+        checkers(
+            kind,
+            StoreSpec::new,
+            Some(|spec| {
+                Checker::view(spec, CacheReplayer::new())
+                    .with_invariant(clean_matches_chunk())
+                    .with_invariant(entry_in_exactly_one_list())
+            }),
+        )
+    }
 
     /// §8 multi-object mode: one cache (over its own chunk group) per
     /// object; each call picks a cache from the workload stream. The
     /// flusher services every cache in rotation.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => CacheVariant::Correct,
-            Variant::Buggy => CacheVariant::Buggy,
-        };
+        let v = variant.pick(CacheVariant::Correct, CacheVariant::Buggy);
         let caches: Vec<BoxCache> = (0..objects.max(1))
             .map(|i| BoxCache::new(ChunkManager::new(), v, log.with_object(ObjectId(i))))
             .collect();
@@ -854,52 +645,8 @@ impl Scenario for CacheScenario {
                 next += 1;
             }
         };
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                for i in ops.by_ref() {
-                    let h = caches[wl.next_int(caches.len() as i64) as usize].handle();
-                    let op = wl.next_op(&[6, 3, 1]);
-                    let handle = wl.next_int(CACHE_HANDLES);
-                    match op {
-                        0 => h.write(handle, vec![(i % 251) as u8; CACHE_BUF]),
-                        1 => {
-                            h.read(handle);
-                        }
-                        _ => h.revoke(handle),
-                    }
-                }
-            },
-            Some(flusher),
-        );
+        drive_each(cfg, &caches, BoxCache::handle, cache_op, Some(flusher));
         true
-    }
-
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        Some(Arc::new(move |_object| match kind {
-            CheckKind::Io => Box::new(Checker::io(StoreSpec::new())) as Box<dyn ObjectChecker>,
-            CheckKind::Lin => Box::new(Checker::lin(StoreSpec::new())),
-            CheckKind::View => Box::new(
-                Checker::view(StoreSpec::new(), CacheReplayer::new())
-                    .with_invariant(clean_matches_chunk())
-                    .with_invariant(entry_in_exactly_one_list()),
-            ),
-        }))
-    }
-
-    /// The cache replayer is checkpointable, so this scenario supports
-    /// continuous *view* refinement alongside I/O and Lin.
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        match kind {
-            CheckKind::View => Some(Arc::new(|_object| {
-                Box::new(
-                    Checker::view(StoreSpec::new(), CacheReplayer::new())
-                        .with_invariant(clean_matches_chunk())
-                        .with_invariant(entry_in_exactly_one_list()),
-                ) as Box<dyn SteppingChecker>
-            })),
-            _ => spec_stepping(kind, StoreSpec::new),
-        }
     }
 }
 
@@ -908,60 +655,6 @@ impl Scenario for CacheScenario {
 // ---------------------------------------------------------------------
 
 const LF_CAPACITY: usize = 64;
-
-/// `check`/`check_full`/`check_stream` for the spec-only (lock-free)
-/// scenarios: `Io` and `Lin` over the spec, `View` refused with
-/// [`unsupported_report`] — these structures log no shared-variable
-/// writes, so there is nothing for a replayer to replay.
-macro_rules! impl_spec_checks {
-    ($spec:expr) => {
-        fn check(&self, kind: CheckKind, events: Vec<Event>) -> Report {
-            match kind {
-                CheckKind::Io => Checker::io($spec).check_events(events),
-                CheckKind::Lin => Checker::lin($spec).check_events(events),
-                CheckKind::View => unsupported_report(self.name(), kind),
-            }
-        }
-
-        fn check_full(&self, kind: CheckKind, events: Vec<Event>) -> Report {
-            let options = CheckerOptions {
-                stop_at_first_violation: false,
-                ..CheckerOptions::default()
-            };
-            match kind {
-                CheckKind::Io => Checker::io($spec)
-                    .with_options(options)
-                    .check_events(events),
-                CheckKind::Lin => Checker::lin($spec)
-                    .with_options(options)
-                    .check_events(events),
-                CheckKind::View => unsupported_report(self.name(), kind),
-            }
-        }
-
-        fn check_stream(
-            &self,
-            kind: CheckKind,
-            receiver: &vyrd_rt::channel::Receiver<Event>,
-        ) -> Report {
-            match kind {
-                CheckKind::Io => Checker::io($spec).check_receiver(receiver),
-                CheckKind::Lin => Checker::lin($spec).check_receiver(receiver),
-                CheckKind::View => {
-                    // Drain the stream so the producer side never blocks
-                    // on an abandoned channel before reporting the
-                    // configuration error.
-                    while receiver.recv().is_ok() {}
-                    unsupported_report(self.name(), kind)
-                }
-            }
-        }
-
-        fn supports(&self, kind: CheckKind) -> bool {
-            kind != CheckKind::View
-        }
-    };
-}
 
 /// Parks a victim `Pop` inside its ABA window and recycles the node it
 /// read underneath it: pop both elements, push two fresh values — the
@@ -997,6 +690,21 @@ fn aba_prologue(stack: &TreiberStack) {
     victim.join().expect("victim pop thread");
 }
 
+/// One workload call against a Treiber stack.
+fn stack_op(h: &TreiberStackHandle, wl: &mut ThreadWorkload, _i: usize) {
+    match wl.next_op(&[4, 3, 3]) {
+        0 => {
+            h.push(wl.next_key());
+        }
+        1 => {
+            h.pop();
+        }
+        _ => {
+            h.peek();
+        }
+    }
+}
+
 /// The Treiber stack with the seeded ABA bug.
 #[derive(Debug)]
 pub struct TreiberStackScenario;
@@ -1011,89 +719,33 @@ impl Scenario for TreiberStackScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => StackVariant::Correct,
-            Variant::Buggy => StackVariant::AbaPop,
-        };
+        let v = variant.pick(StackVariant::Correct, StackVariant::AbaPop);
         let stack = TreiberStack::new(v, LF_CAPACITY, log.clone());
         if variant == Variant::Buggy {
             aba_prologue(&stack);
         }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = stack.handle();
-                while ops.next().is_some() {
-                    match wl.next_op(&[4, 3, 3]) {
-                        0 => {
-                            h.push(wl.next_key());
-                        }
-                        1 => {
-                            h.pop();
-                        }
-                        _ => {
-                            h.peek();
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        drive_one(cfg, &stack, TreiberStack::handle, stack_op, None::<fn()>);
     }
 
-    impl_spec_checks!(StackSpec::new());
+    /// `Io` and `Lin` only: the stack logs no shared-variable writes, so
+    /// there is nothing for a view replayer to replay.
+    fn checker(&self, kind: CheckKind) -> Option<CheckerFactory> {
+        checkers::<_, NoopReplayer>(kind, StackSpec::new, None)
+    }
 
     /// §8 multi-object mode: one stack per object; the buggy prologue
     /// runs on object 0 only, so exactly one shard carries the seeded
     /// violation.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => StackVariant::Correct,
-            Variant::Buggy => StackVariant::AbaPop,
-        };
+        let v = variant.pick(StackVariant::Correct, StackVariant::AbaPop);
         let stacks: Vec<TreiberStack> = (0..objects.max(1))
             .map(|i| TreiberStack::new(v, LF_CAPACITY, log.with_object(ObjectId(i))))
             .collect();
         if variant == Variant::Buggy {
             aba_prologue(&stacks[0]);
         }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                while ops.next().is_some() {
-                    let h = stacks[wl.next_int(stacks.len() as i64) as usize].handle();
-                    match wl.next_op(&[4, 3, 3]) {
-                        0 => {
-                            h.push(wl.next_key());
-                        }
-                        1 => {
-                            h.pop();
-                        }
-                        _ => {
-                            h.peek();
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        drive_each(cfg, &stacks, TreiberStack::handle, stack_op, None::<fn()>);
         true
-    }
-
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        match kind {
-            CheckKind::Io => Some(Arc::new(|_object| {
-                Box::new(Checker::io(StackSpec::new())) as Box<dyn ObjectChecker>
-            })),
-            CheckKind::Lin => Some(Arc::new(|_object| {
-                Box::new(Checker::lin(StackSpec::new())) as Box<dyn ObjectChecker>
-            })),
-            CheckKind::View => None,
-        }
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        spec_stepping(kind, StackSpec::new)
     }
 
     fn minimizer(&self, _kind: CheckKind) -> Box<dyn Minimizer> {
@@ -1137,6 +789,21 @@ fn tail_swing_prologue(queue: &MsQueue) {
     victim.join().expect("victim enqueue thread");
 }
 
+/// One workload call against a Michael–Scott queue.
+fn queue_op(h: &MsQueueHandle, wl: &mut ThreadWorkload, _i: usize) {
+    match wl.next_op(&[4, 3, 3]) {
+        0 => {
+            h.enqueue(wl.next_key());
+        }
+        1 => {
+            h.dequeue();
+        }
+        _ => {
+            h.front();
+        }
+    }
+}
+
 /// The Michael–Scott queue with the seeded tail-swing bug.
 #[derive(Debug)]
 pub struct MsQueueScenario;
@@ -1151,89 +818,33 @@ impl Scenario for MsQueueScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => QueueVariant::Correct,
-            Variant::Buggy => QueueVariant::EarlyTailSwing,
-        };
+        let v = variant.pick(QueueVariant::Correct, QueueVariant::EarlyTailSwing);
         let queue = MsQueue::new(v, LF_CAPACITY, log.clone());
         if variant == Variant::Buggy {
             tail_swing_prologue(&queue);
         }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = queue.handle();
-                while ops.next().is_some() {
-                    match wl.next_op(&[4, 3, 3]) {
-                        0 => {
-                            h.enqueue(wl.next_key());
-                        }
-                        1 => {
-                            h.dequeue();
-                        }
-                        _ => {
-                            h.front();
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        drive_one(cfg, &queue, MsQueue::handle, queue_op, None::<fn()>);
     }
 
-    impl_spec_checks!(QueueSpec::new());
+    /// `Io` and `Lin` only: the queue logs no shared-variable writes, so
+    /// there is nothing for a view replayer to replay.
+    fn checker(&self, kind: CheckKind) -> Option<CheckerFactory> {
+        checkers::<_, NoopReplayer>(kind, QueueSpec::new, None)
+    }
 
     /// §8 multi-object mode: one queue per object; the buggy prologue
     /// runs on object 0 only, so exactly one shard carries the seeded
     /// violation.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => QueueVariant::Correct,
-            Variant::Buggy => QueueVariant::EarlyTailSwing,
-        };
+        let v = variant.pick(QueueVariant::Correct, QueueVariant::EarlyTailSwing);
         let queues: Vec<MsQueue> = (0..objects.max(1))
             .map(|i| MsQueue::new(v, LF_CAPACITY, log.with_object(ObjectId(i))))
             .collect();
         if variant == Variant::Buggy {
             tail_swing_prologue(&queues[0]);
         }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                while ops.next().is_some() {
-                    let h = queues[wl.next_int(queues.len() as i64) as usize].handle();
-                    match wl.next_op(&[4, 3, 3]) {
-                        0 => {
-                            h.enqueue(wl.next_key());
-                        }
-                        1 => {
-                            h.dequeue();
-                        }
-                        _ => {
-                            h.front();
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        drive_each(cfg, &queues, MsQueue::handle, queue_op, None::<fn()>);
         true
-    }
-
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        match kind {
-            CheckKind::Io => Some(Arc::new(|_object| {
-                Box::new(Checker::io(QueueSpec::new())) as Box<dyn ObjectChecker>
-            })),
-            CheckKind::Lin => Some(Arc::new(|_object| {
-                Box::new(Checker::lin(QueueSpec::new())) as Box<dyn ObjectChecker>
-            })),
-            CheckKind::View => None,
-        }
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        spec_stepping(kind, QueueSpec::new)
     }
 
     fn minimizer(&self, _kind: CheckKind) -> Box<dyn Minimizer> {

@@ -1,7 +1,8 @@
 //! Online checking (§4.2): the verification thread runs *while* the
 //! program executes, consuming the log through a channel, and flags the
 //! violation as soon as the offending entries arrive — no post-mortem
-//! pass needed.
+//! pass needed. The thread is a one-worker verifier pool, which supplies
+//! panic supervision and counts events logged after the log closed.
 //!
 //! The program side is the BST multiset with the "unlocking parent
 //! before insertion" bug; workers hammer the same subtree until an insert
@@ -11,15 +12,14 @@
 
 use vyrd::core::checker::Checker;
 use vyrd::core::log::LogMode;
-use vyrd::core::online::OnlineVerifier;
+use vyrd::core::pool::VerifierPool;
 use vyrd::multiset::{BstMultiset, BstReplayer, BstVariant, MultisetSpec};
 
 fn main() {
     for attempt in 1..=300 {
-        let verifier = OnlineVerifier::spawn(
-            LogMode::View,
-            Checker::view(MultisetSpec::new(), BstReplayer::new()),
-        );
+        let verifier = VerifierPool::spawn(LogMode::View, 1, |_object| {
+            Box::new(Checker::view(MultisetSpec::new(), BstReplayer::new())) as _
+        });
         let ms = BstMultiset::new(BstVariant::UnlockParentEarly, verifier.log().clone());
 
         // Seed a shared parent, then race two inserts under it.

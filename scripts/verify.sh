@@ -14,6 +14,12 @@ cargo build --workspace --release --offline
 echo "==> cargo test -q --offline"
 cargo test --workspace -q --offline
 
+# The pipeline benchmark is a Cargo workspace of its own, so the commands
+# above never build it; its tests catch a crate API change that would
+# break the benchmark before the benchmark itself runs.
+echo "==> cargo test --release --offline (pipebench)"
+cargo test --release --offline -q --manifest-path pipebench/Cargo.toml
+
 # Smoke-run every example: each is a runnable walkthrough that must
 # exit 0 (the violation demos report their detection and succeed).
 echo "==> example smoke runs"
@@ -247,8 +253,7 @@ fi
 
 # Clippy is optional tooling: run it when the component is installed,
 # skip quietly when not (the container may ship a bare toolchain).
-# Note: crates/core's pipeline modules (log/shard/pool/online/codec/
-# violation) carry `#![deny(clippy::unwrap_used, clippy::expect_used)]`
+# Note: crates/core's pipeline modules (log/shard/pool/codec/violation) carry `#![deny(clippy::unwrap_used, clippy::expect_used)]`
 # inner attributes, so this run also gates panicking escape hatches out
 # of the degrade-gracefully paths.
 if cargo clippy --version >/dev/null 2>&1; then

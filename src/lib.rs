@@ -5,7 +5,8 @@
 //! Qadeer — PLDI 2005). It re-exports the whole workspace:
 //!
 //! * [`core`] — the checker engine: event log, codec, [`core::spec::Spec`]
-//!   trait, I/O- and view-refinement checkers, online verification thread;
+//!   trait, I/O- and view-refinement checkers, verifier pool (one worker
+//!   is the online verification thread);
 //! * [`multiset`] — the paper's running example (§2): array / vector / BST
 //!   multisets with their injected bugs;
 //! * [`javalib`] — the `java.util.Vector` / `StringBuffer` benchmarks;
