@@ -1,6 +1,6 @@
 //! # vyrd-blinktree — the Boxwood B-link tree (§7.2.3–§7.2.5, Fig. 9)
 //!
-//! A concurrent B-link tree in the style of Sagiv [12]: right-linked
+//! A concurrent B-link tree in the style of Sagiv \[12\]: right-linked
 //! nodes with high keys, lock-free-of-coupling descents that repair stale
 //! routing by moving right, split-then-ascend inserts with the Fig. 9
 //! conditional commit points, an internal compression task, and the

@@ -1,4 +1,4 @@
-//! B-link tree nodes (§7.2.3–§7.2.5, following Sagiv's design [12]).
+//! B-link tree nodes (§7.2.3–§7.2.5, following Sagiv's design \[12\]).
 //!
 //! Three node kinds:
 //!

@@ -133,7 +133,7 @@ pub enum ViewCheckPolicy {
     EveryCommit,
     /// Only at *quiescent* states (no method execution in flight) — the
     /// granularity of the commit-atomicity baseline the paper compares
-    /// against (§8, Flanagan [4]). "During any realistic execution,
+    /// against (§8, Flanagan \[4\]). "During any realistic execution,
     /// quiescent points are very rare. Checking only at these points
     /// might cause errors to be overwritten or to be discovered too
     /// late." Deliberately weak by construction: corruption in a trace
@@ -467,9 +467,9 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
     }
 
     /// Checks a log in the binary wire format (e.g. written by
-    /// [`EventLog::to_file`](crate::log::EventLog::to_file)), in either
-    /// the current versioned format or the legacy headerless v1 format
-    /// (see [`codec::LogReader`]). A decoding error is reported as a
+    /// [`EventLog::to_file`](crate::log::EventLog::to_file); see
+    /// [`codec::LogReader`]). A stream whose header is not a current
+    /// one, or any later decoding error, is reported as a
     /// [`Violation::MalformedLog`].
     pub fn check_reader<Rd: Read>(self, reader: Rd) -> Report {
         let mut decode_failed = false;

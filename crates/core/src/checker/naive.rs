@@ -5,7 +5,7 @@
 //! determining the correctness of the return value of `LookUp(3)` would
 //! require evaluating 4! serializations. Clearly, this method would not
 //! scale as the number of methods being executed concurrently increases.
-//! Our solution ... [uses] the sequence of commit actions."
+//! Our solution ... \[uses\] the sequence of commit actions."
 //!
 //! This module implements that naive method — classic linearizability
 //! checking in the style of Wing & Gong: search for *any* total order of

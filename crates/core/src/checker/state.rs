@@ -11,7 +11,7 @@
 //! (same spec constructor parameters, same invariants, same options).
 //!
 //! The encoding rides on the log codec's [`Value`] wire format
-//! ([`codec::write_value`]), so a checkpoint needs no serialization
+//! ([`codec::encode_value`]), so a checkpoint needs no serialization
 //! machinery the log does not already have.
 
 use std::collections::BTreeMap;
@@ -118,22 +118,17 @@ fn value_option(v: &Value) -> Result<Option<&Value>, StateError> {
 // Events: reuse the log codec's framing-free record encoding.
 // ---------------------------------------------------------------------
 
-fn event_value(e: &Event) -> Result<Value, StateError> {
+fn event_value(e: &Event) -> Value {
     let mut buf = Vec::with_capacity(e.size_estimate());
-    codec::write_event(&mut buf, e).map_err(|e| err(format!("encoding event: {e}")))?;
-    Ok(Value::Bytes(buf))
+    codec::encode_event(&mut buf, e);
+    Value::Bytes(buf)
 }
 
 fn value_event(v: &Value) -> Result<Event, StateError> {
     let bytes = v
         .as_bytes()
         .ok_or_else(|| err("expected an encoded event (bytes)"))?;
-    let mut cursor = bytes;
-    match codec::read_event(&mut cursor) {
-        Ok(Some(e)) if cursor.is_empty() => Ok(e),
-        Ok(_) => Err(err("truncated or padded event encoding")),
-        Err(e) => Err(err(format!("decoding event: {e}"))),
-    }
+    codec::decode_event(bytes).map_err(|e| err(format!("decoding event: {e}")))
 }
 
 // ---------------------------------------------------------------------
@@ -526,13 +521,8 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                 Some(v) => option_value(Some(violation_value(v)?)),
                 None => option_value(None),
             },
-            Value::List(
-                self.lookahead
-                    .iter()
-                    .map(event_value)
-                    .collect::<Result<_, _>>()?,
-            ),
-            Value::List(self.input.iter().map(event_value).collect::<Result<_, _>>()?),
+            Value::List(self.lookahead.iter().map(event_value).collect()),
+            Value::List(self.input.iter().map(event_value).collect()),
             Value::List(
                 pending
                     .into_iter()

@@ -10,33 +10,35 @@
 //!   length prefix;
 //! * every [`Value`] and [`Event`] starts with a one-byte tag.
 //!
-//! # Versioning
+//! # Stream format
 //!
-//! A log stream starts with a header — the magic bytes `b"VYRD"` followed
-//! by a `u32` format version. Version 2 added a `u32`
-//! [`ObjectId`](crate::ObjectId) to every event record, right after the
-//! thread id. Version 3 wraps each record in a crash-tolerant frame: a
-//! `u32` payload length, a `u32` CRC-32 (IEEE) of the payload, then the
-//! payload itself — a bare v2 record. Version 4 (the current version)
-//! appends one byte to the header recording the [`LogMode`] the stream was
-//! captured under, so an offline checker knows whether it holds an I/O or
-//! a view-refinement trace without scanning for `Write` records; frames
-//! are unchanged from v3. The mode byte is validated strictly: a byte that
-//! is not a defined [`LogMode`] discriminant is `InvalidData`, never
-//! silently coerced. Version-1 streams predate the header entirely: they
-//! start directly with an event tag. [`LogReader`] tells headered and
-//! headerless streams apart by sniffing the first byte (the magic's `b'V'`
-//! can never be a record tag) and decodes v1 records with
-//! [`ObjectId::DEFAULT`](crate::ObjectId::DEFAULT), so old logs keep
-//! reading.
+//! A log stream is a header followed by one frame per event. The header
+//! is the magic bytes `b"VYRD"`, a `u32` format version
+//! ([`FORMAT_VERSION`], currently 4), and one byte recording the
+//! [`LogMode`] the stream was captured under, so an offline checker knows
+//! whether it holds an I/O or a view-refinement trace without scanning
+//! for `Write` records. A frame is a `u32` payload length, a `u32`
+//! CRC-32 (IEEE) of the payload, then the payload: one event record
+//! ([`encode_event`]), whose thread id is followed by its
+//! [`ObjectId`].
+//!
+//! The header is validated strictly. A stream that does not start with
+//! the magic, names any other version, or carries a mode byte that is not
+//! a defined [`LogMode`] discriminant is `InvalidData`; nothing is
+//! guessed from a damaged header. An empty stream is an empty log.
+//!
+//! Every record below the frame — log frames, segment files, checkpoint
+//! payloads ([`decode_value`]) and checkpointed checker events
+//! ([`decode_event`]) — decodes from an in-memory byte slice by one
+//! cursor, so there is a single decoder to trust.
 //!
 //! # Crash tolerance
 //!
 //! The paper's post-mortem workflow (§2) reads the log *after* the
 //! implementation crashed, so a torn tail is the expected case, not an
-//! anomaly. The v3 frame makes recovery explicit: a frame whose length
+//! anomaly. The frame makes recovery explicit: a frame whose length
 //! prefix, checksum, or payload is damaged marks the end of the trusted
-//! prefix. [`read_log_recovering`] decodes any stream (v1–v3) and returns
+//! prefix. [`read_log_recovering`] decodes any stream and returns
 //! [`DecodeOutcome::RecoveredPrefix`] — every record before the damage,
 //! plus the byte offset where decoding stopped — instead of an error.
 
@@ -67,23 +69,15 @@ const TAG_BLOCK_BEGIN: u8 = 19;
 const TAG_BLOCK_END: u8 = 20;
 const TAG_WRITE: u8 = 21;
 
-/// Magic bytes opening a versioned log stream. `b'V'` (0x56) is far from
-/// the record tag space (0..=21), so a headerless v1 stream can never be
-/// mistaken for a versioned one.
+/// Magic bytes opening every log stream.
 pub const MAGIC: [u8; 4] = *b"VYRD";
 
-/// The log format version this module writes.
+/// The log format version this module writes and reads.
 pub const FORMAT_VERSION: u32 = 4;
 
 /// Encoded size of the stream header written by [`write_header`]:
 /// magic bytes, format version, and the mode byte.
 pub const HEADER_LEN: u64 = (MAGIC.len() + 4 + 1) as u64;
-
-/// The last format version whose records were written bare (unframed).
-const LAST_UNFRAMED_VERSION: u32 = 2;
-
-/// The last format version whose header carried no [`LogMode`] byte.
-const LAST_MODELESS_VERSION: u32 = 3;
 
 const CRC_TABLE: [u32; 256] = crc32_table();
 
@@ -107,7 +101,7 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-/// CRC-32 (IEEE 802.3) checksum, as used by v3 record frames.
+/// CRC-32 (IEEE 802.3) checksum, as used by record frames.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
@@ -118,244 +112,107 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Maximum length accepted for any single string/bytes/list payload.
 ///
-/// Guards `read_event` against allocating absurd buffers when handed a
+/// Guards the decoder against allocating absurd buffers when handed a
 /// corrupt or non-log file.
 const MAX_LEN: u32 = 1 << 28;
 
 /// Maximum nesting depth accepted when decoding values.
 ///
-/// Guards `read_value` against stack overflow on corrupt or hostile input
-/// (e.g. a file of consecutive pair tags).
+/// Guards the value decoder against stack overflow on corrupt or hostile
+/// input (e.g. a payload of consecutive pair tags).
 const MAX_DEPTH: u32 = 64;
 
-fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn write_i64<W: Write>(w: &mut W, v: i64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_i64<R: Read>(r: &mut R) -> io::Result<i64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(i64::from_le_bytes(buf))
-}
-
-fn read_len<R: Read>(r: &mut R) -> io::Result<usize> {
-    let len = read_u32(r)?;
-    if len > MAX_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("vyrd log record length {len} exceeds limit"),
-        ));
-    }
-    Ok(len as usize)
-}
-
-fn write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    write_u32(w, s.len() as u32)?;
-    w.write_all(s.as_bytes())
-}
-
-fn read_string<R: Read>(r: &mut R) -> io::Result<String> {
-    let len = read_len(r)?;
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("invalid utf-8: {e}")))
-}
-
-/// Serializes one value.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying writer.
-pub fn write_value<W: Write>(w: &mut W, value: &Value) -> io::Result<()> {
+/// Appends the encoding of one value to `buf`.
+pub fn encode_value(buf: &mut Vec<u8>, value: &Value) {
     match value {
-        Value::Unit => w.write_all(&[TAG_UNIT]),
-        Value::Bool(false) => w.write_all(&[TAG_BOOL_FALSE]),
-        Value::Bool(true) => w.write_all(&[TAG_BOOL_TRUE]),
+        Value::Unit => buf.push(TAG_UNIT),
+        Value::Bool(false) => buf.push(TAG_BOOL_FALSE),
+        Value::Bool(true) => buf.push(TAG_BOOL_TRUE),
         Value::Int(i) => {
-            w.write_all(&[TAG_INT])?;
-            write_i64(w, *i)
+            buf.push(TAG_INT);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
         Value::Str(s) => {
-            w.write_all(&[TAG_STR])?;
-            write_str(w, s)
+            buf.push(TAG_STR);
+            put_str(buf, s);
         }
         Value::Bytes(b) => {
-            w.write_all(&[TAG_BYTES])?;
-            write_u32(w, b.len() as u32)?;
-            w.write_all(b)
+            buf.push(TAG_BYTES);
+            put_u32(buf, b.len() as u32);
+            buf.extend_from_slice(b);
         }
         Value::Pair(p) => {
-            w.write_all(&[TAG_PAIR])?;
-            write_value(w, &p.0)?;
-            write_value(w, &p.1)
+            buf.push(TAG_PAIR);
+            encode_value(buf, &p.0);
+            encode_value(buf, &p.1);
         }
         Value::List(items) => {
-            w.write_all(&[TAG_LIST])?;
-            write_u32(w, items.len() as u32)?;
+            buf.push(TAG_LIST);
+            put_u32(buf, items.len() as u32);
             for item in items {
-                write_value(w, item)?;
+                encode_value(buf, item);
             }
-            Ok(())
         }
     }
 }
 
-/// Deserializes one value.
-///
-/// # Errors
-///
-/// Returns `InvalidData` on unknown tags, malformed payloads, or nesting
-/// deeper than the format allows, and propagates I/O errors (including
-/// `UnexpectedEof` for truncated records).
-pub fn read_value<R: Read>(r: &mut R) -> io::Result<Value> {
-    read_value_at(r, 0)
-}
-
-fn read_value_at<R: Read>(r: &mut R, depth: u32) -> io::Result<Value> {
-    if depth > MAX_DEPTH {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("vyrd value nested deeper than {MAX_DEPTH} levels"),
-        ));
-    }
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    match tag[0] {
-        TAG_UNIT => Ok(Value::Unit),
-        TAG_BOOL_FALSE => Ok(Value::Bool(false)),
-        TAG_BOOL_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => Ok(Value::Int(read_i64(r)?)),
-        TAG_STR => Ok(Value::Str(read_string(r)?)),
-        TAG_BYTES => {
-            let len = read_len(r)?;
-            let mut buf = vec![0u8; len];
-            r.read_exact(&mut buf)?;
-            Ok(Value::Bytes(buf))
-        }
-        TAG_PAIR => {
-            let a = read_value_at(r, depth + 1)?;
-            let b = read_value_at(r, depth + 1)?;
-            Ok(Value::pair(a, b))
-        }
-        TAG_LIST => {
-            let len = read_len(r)?;
-            let mut items = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                items.push(read_value_at(r, depth + 1)?);
-            }
-            Ok(Value::List(items))
-        }
-        t => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown vyrd value tag {t}"),
-        )),
-    }
-}
-
-/// Serializes one event as a bare (unframed) v2 record — also the payload
-/// encoding inside a v3 frame (see [`write_frame`]).
-///
-/// Records are headerless; a reader needs the stream header to know their
-/// version, so prepend one with [`write_header`] (as [`write_log`] and the
-/// file sink do) when starting a fresh stream.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying writer.
-pub fn write_event<W: Write>(w: &mut W, event: &Event) -> io::Result<()> {
+/// Appends the encoding of one event record to `buf` — the payload of a
+/// frame (see [`write_frame_with`]). The record carries no header or
+/// frame of its own.
+pub fn encode_event(buf: &mut Vec<u8>, event: &Event) {
+    let (tag, tid, object) = match event {
+        Event::Call { tid, object, .. } => (TAG_CALL, tid, object),
+        Event::Return { tid, object, .. } => (TAG_RETURN, tid, object),
+        Event::Commit { tid, object } => (TAG_COMMIT, tid, object),
+        Event::BlockBegin { tid, object } => (TAG_BLOCK_BEGIN, tid, object),
+        Event::BlockEnd { tid, object } => (TAG_BLOCK_END, tid, object),
+        Event::Write { tid, object, .. } => (TAG_WRITE, tid, object),
+    };
+    buf.push(tag);
+    put_u32(buf, tid.0);
+    put_u32(buf, object.0);
     match event {
-        Event::Call {
-            tid,
-            object,
-            method,
-            args,
-        } => {
-            w.write_all(&[TAG_CALL])?;
-            write_u32(w, tid.0)?;
-            write_u32(w, object.0)?;
-            write_str(w, method.name())?;
-            write_u32(w, args.len() as u32)?;
+        Event::Call { method, args, .. } => {
+            put_str(buf, method.name());
+            put_u32(buf, args.len() as u32);
             for a in args {
-                write_value(w, a)?;
+                encode_value(buf, a);
             }
-            Ok(())
         }
-        Event::Return {
-            tid,
-            object,
-            method,
-            ret,
-        } => {
-            w.write_all(&[TAG_RETURN])?;
-            write_u32(w, tid.0)?;
-            write_u32(w, object.0)?;
-            write_str(w, method.name())?;
-            write_value(w, ret)
+        Event::Return { method, ret, .. } => {
+            put_str(buf, method.name());
+            encode_value(buf, ret);
         }
-        Event::Commit { tid, object } => {
-            w.write_all(&[TAG_COMMIT])?;
-            write_u32(w, tid.0)?;
-            write_u32(w, object.0)
-        }
-        Event::BlockBegin { tid, object } => {
-            w.write_all(&[TAG_BLOCK_BEGIN])?;
-            write_u32(w, tid.0)?;
-            write_u32(w, object.0)
-        }
-        Event::BlockEnd { tid, object } => {
-            w.write_all(&[TAG_BLOCK_END])?;
-            write_u32(w, tid.0)?;
-            write_u32(w, object.0)
-        }
-        Event::Write {
-            tid,
-            object,
-            var,
-            value,
-        } => {
-            w.write_all(&[TAG_WRITE])?;
-            write_u32(w, tid.0)?;
-            write_u32(w, object.0)?;
-            write_str(w, var.space())?;
-            write_i64(w, var.index())?;
-            write_value(w, value)
+        Event::Commit { .. } | Event::BlockBegin { .. } | Event::BlockEnd { .. } => {}
+        Event::Write { var, value, .. } => {
+            put_str(buf, var.space());
+            buf.extend_from_slice(&var.index().to_le_bytes());
+            encode_value(buf, value);
         }
     }
 }
 
-/// Serializes one event as a v3 frame: payload length, CRC-32 of the
-/// payload, then the payload (a bare v2 record as written by
-/// [`write_event`]).
+/// Writes one event as a frame: payload length, CRC-32 of the payload,
+/// then the payload (the record [`encode_event`] produces).
+///
+/// `scratch` holds the payload while it is checksummed. The batched file
+/// sink encodes thousands of frames back to back; reusing one scratch
+/// `Vec` across the batch makes the steady-state encode path
+/// allocation-free. The buffer is cleared on entry, so any `Vec` may be
+/// passed; its capacity is retained for the next frame.
 ///
 /// Honors the `codec.write` failpoint: a
 /// [`Drop`](vyrd_rt::fault::FaultAction::Drop) disposition skips the frame
 /// entirely, simulating a record lost to a crash mid-write.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying writer.
-pub fn write_frame<W: Write>(w: &mut W, event: &Event) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(32);
-    write_frame_with(w, &mut payload, event)
-}
-
-/// [`write_frame`] with a caller-provided scratch buffer for the payload.
-///
-/// The batched file sink encodes thousands of frames back to back; reusing
-/// one scratch `Vec` across the batch makes the steady-state encode path
-/// allocation-free. The buffer is cleared on entry, so any `Vec` may be
-/// passed; its capacity is retained for the next frame.
 ///
 /// # Errors
 ///
@@ -369,114 +226,44 @@ pub fn write_frame_with<W: Write>(
         return Ok(());
     }
     scratch.clear();
-    write_event(scratch, event)?;
-    write_u32(w, scratch.len() as u32)?;
-    write_u32(w, crc32(scratch))?;
+    encode_event(scratch, event);
+    w.write_all(&(scratch.len() as u32).to_le_bytes())?;
+    w.write_all(&crc32(scratch).to_le_bytes())?;
     w.write_all(scratch)
 }
 
-/// Writes the stream header: magic bytes, the current format version, and
-/// the [`LogMode`] the stream is being captured under (one byte, v4+).
+/// Writes the stream header: magic bytes, the format version, and the
+/// [`LogMode`] the stream is being captured under (one byte).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the underlying writer.
 pub fn write_header<W: Write>(w: &mut W, mode: LogMode) -> io::Result<()> {
     w.write_all(&MAGIC)?;
-    write_u32(w, FORMAT_VERSION)?;
+    w.write_all(&FORMAT_VERSION.to_le_bytes())?;
     w.write_all(&[mode.as_u8()])
 }
 
-/// Decodes the record body after the tag byte. Every version puts the
-/// thread id first; v2 adds the object id right after it.
-fn read_event_body<R: Read>(r: &mut R, tag: u8, version: u32) -> io::Result<Event> {
-    if !(TAG_CALL..=TAG_WRITE).contains(&tag) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown vyrd event tag {tag}"),
-        ));
-    }
-    let tid = ThreadId(read_u32(r)?);
-    let object = if version >= 2 {
-        ObjectId(read_u32(r)?)
-    } else {
-        ObjectId::DEFAULT
-    };
-    let event = match tag {
-        TAG_CALL => {
-            let method = MethodId::from(read_string(r)?);
-            let argc = read_len(r)?;
-            let mut args = Vec::with_capacity(argc.min(64));
-            for _ in 0..argc {
-                args.push(read_value(r)?);
-            }
-            Event::Call {
-                tid,
-                object,
-                method,
-                args: args.into(),
-            }
-        }
-        TAG_RETURN => Event::Return {
-            tid,
-            object,
-            method: MethodId::from(read_string(r)?),
-            ret: read_value(r)?,
-        },
-        TAG_COMMIT => Event::Commit { tid, object },
-        TAG_BLOCK_BEGIN => Event::BlockBegin { tid, object },
-        TAG_BLOCK_END => Event::BlockEnd { tid, object },
-        TAG_WRITE => {
-            let space = read_string(r)?;
-            let index = read_i64(r)?;
-            let value = read_value(r)?;
-            Event::Write {
-                tid,
-                object,
-                var: VarId::new(&space, index),
-                value,
-            }
-        }
-        t => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown vyrd event tag {t}"),
-            ))
-        }
-    };
-    Ok(event)
+fn invalid(detail: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, detail)
 }
 
-/// Deserializes one bare (unframed) v2 event record, or `Ok(None)` at a
-/// clean end of stream. To read a stream whose version is not known in
-/// advance, use [`LogReader`].
+/// Cursor over an in-memory record.
 ///
-/// # Errors
-///
-/// Returns `InvalidData` for unknown tags and `UnexpectedEof` when the
-/// stream ends mid-record.
-pub fn read_event<R: Read>(r: &mut R) -> io::Result<Option<Event>> {
-    let mut tag = [0u8; 1];
-    match r.read(&mut tag)? {
-        0 => return Ok(None),
-        1 => {}
-        _ => unreachable!("read of 1-byte buffer returned >1"),
-    }
-    read_event_body(r, tag[0], LAST_UNFRAMED_VERSION).map(Some)
-}
-
-/// Cursor over an in-memory frame payload.
-///
-/// Unlike the [`Read`]-based decoders, strings are *borrowed* straight
-/// from the payload: a method name goes to the interner as a `&str`
-/// without a temporary `String`, which is what keeps the framed decode
-/// loop allocation-flat for scalar-argument events.
+/// Strings are *borrowed* straight from the bytes: a method name goes to
+/// the interner as a `&str` without a temporary `String`, which is what
+/// keeps the framed decode loop allocation-flat for scalar-argument
+/// events.
 struct PayloadCursor<'a> {
     buf: &'a [u8],
     at: usize,
 }
 
 impl<'a> PayloadCursor<'a> {
+    fn new(buf: &'a [u8]) -> PayloadCursor<'a> {
+        PayloadCursor { buf, at: 0 }
+    }
+
     fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
         let end = self
             .at
@@ -512,129 +299,139 @@ impl<'a> PayloadCursor<'a> {
     fn len(&mut self) -> io::Result<usize> {
         let len = self.u32()?;
         if len > MAX_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("vyrd log record length {len} exceeds limit"),
-            ));
+            return Err(invalid(format!(
+                "vyrd log record length {len} exceeds limit"
+            )));
         }
         Ok(len as usize)
     }
 
     fn str_(&mut self) -> io::Result<&'a str> {
         let len = self.len()?;
-        std::str::from_utf8(self.take(len)?)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("invalid utf-8: {e}")))
+        std::str::from_utf8(self.take(len)?).map_err(|e| invalid(format!("invalid utf-8: {e}")))
     }
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
+    /// Succeeds only when every byte was consumed: a record is exactly
+    /// as long as its encoding.
+    fn finish(&self) -> io::Result<()> {
+        match self.buf.len() - self.at {
+            0 => Ok(()),
+            n => Err(invalid(format!("vyrd record has {n} trailing bytes"))),
+        }
     }
-}
 
-fn decode_value(cur: &mut PayloadCursor<'_>, depth: u32) -> io::Result<Value> {
-    if depth > MAX_DEPTH {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("vyrd value nested deeper than {MAX_DEPTH} levels"),
-        ));
-    }
-    match cur.u8()? {
-        TAG_UNIT => Ok(Value::Unit),
-        TAG_BOOL_FALSE => Ok(Value::Bool(false)),
-        TAG_BOOL_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => Ok(Value::Int(cur.i64()?)),
-        TAG_STR => Ok(Value::Str(cur.str_()?.to_owned())),
-        TAG_BYTES => {
-            let len = cur.len()?;
-            Ok(Value::Bytes(cur.take(len)?.to_vec()))
+    fn value(&mut self, depth: u32) -> io::Result<Value> {
+        if depth > MAX_DEPTH {
+            return Err(invalid(format!(
+                "vyrd value nested deeper than {MAX_DEPTH} levels"
+            )));
         }
-        TAG_PAIR => {
-            let a = decode_value(cur, depth + 1)?;
-            let b = decode_value(cur, depth + 1)?;
-            Ok(Value::pair(a, b))
-        }
-        TAG_LIST => {
-            let len = cur.len()?;
-            let mut items = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                items.push(decode_value(cur, depth + 1)?);
+        match self.u8()? {
+            TAG_UNIT => Ok(Value::Unit),
+            TAG_BOOL_FALSE => Ok(Value::Bool(false)),
+            TAG_BOOL_TRUE => Ok(Value::Bool(true)),
+            TAG_INT => Ok(Value::Int(self.i64()?)),
+            TAG_STR => Ok(Value::Str(self.str_()?.to_owned())),
+            TAG_BYTES => {
+                let len = self.len()?;
+                Ok(Value::Bytes(self.take(len)?.to_vec()))
             }
-            Ok(Value::List(items))
+            TAG_PAIR => {
+                let a = self.value(depth + 1)?;
+                let b = self.value(depth + 1)?;
+                Ok(Value::pair(a, b))
+            }
+            TAG_LIST => {
+                let len = self.len()?;
+                let mut items = Vec::with_capacity(len.min(1024));
+                for _ in 0..len {
+                    items.push(self.value(depth + 1)?);
+                }
+                Ok(Value::List(items))
+            }
+            t => Err(invalid(format!("unknown vyrd value tag {t}"))),
         }
-        t => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown vyrd value tag {t}"),
-        )),
+    }
+
+    /// Decodes one event record.
+    ///
+    /// `args_scratch` is a reusable staging buffer for call arguments:
+    /// values decode into it and are cloned into the event's
+    /// inline-capable [`ArgList`], so 0–2-argument calls add no heap
+    /// traffic beyond what the values themselves own.
+    fn event(&mut self, args_scratch: &mut Vec<Value>) -> io::Result<Event> {
+        let tag = self.u8()?;
+        if !(TAG_CALL..=TAG_WRITE).contains(&tag) {
+            return Err(invalid(format!("unknown vyrd event tag {tag}")));
+        }
+        let tid = ThreadId(self.u32()?);
+        let object = ObjectId(self.u32()?);
+        Ok(match tag {
+            TAG_CALL => {
+                let method = MethodId::from(self.str_()?);
+                let argc = self.len()?;
+                args_scratch.clear();
+                for _ in 0..argc {
+                    args_scratch.push(self.value(0)?);
+                }
+                Event::Call {
+                    tid,
+                    object,
+                    method,
+                    args: ArgList::from_slice(args_scratch),
+                }
+            }
+            TAG_RETURN => Event::Return {
+                tid,
+                object,
+                method: MethodId::from(self.str_()?),
+                ret: self.value(0)?,
+            },
+            TAG_COMMIT => Event::Commit { tid, object },
+            TAG_BLOCK_BEGIN => Event::BlockBegin { tid, object },
+            TAG_BLOCK_END => Event::BlockEnd { tid, object },
+            _ => {
+                let space = self.str_()?;
+                let index = self.i64()?;
+                Event::Write {
+                    tid,
+                    object,
+                    var: VarId::new(space, index),
+                    value: self.value(0)?,
+                }
+            }
+        })
     }
 }
 
-/// Decodes one frame payload (a bare v2 record) entirely in memory.
+/// Decodes one value from exactly `bytes` (as [`encode_value`] wrote it).
 ///
-/// `args_scratch` is a reusable staging buffer for call arguments: values
-/// decode into it and are cloned into the event's inline-capable
-/// [`ArgList`](crate::event::ArgList), so 0–2-argument calls add no heap
-/// traffic beyond what the values themselves own.
-fn decode_frame_payload(payload: &[u8], args_scratch: &mut Vec<Value>) -> io::Result<Event> {
-    let mut cur = PayloadCursor {
-        buf: payload,
-        at: 0,
-    };
-    let tag = cur.u8()?;
-    if !(TAG_CALL..=TAG_WRITE).contains(&tag) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown vyrd event tag {tag}"),
-        ));
-    }
-    let tid = ThreadId(cur.u32()?);
-    let object = ObjectId(cur.u32()?);
-    let event = match tag {
-        TAG_CALL => {
-            let method = MethodId::from(cur.str_()?);
-            let argc = cur.len()?;
-            args_scratch.clear();
-            for _ in 0..argc {
-                args_scratch.push(decode_value(&mut cur, 0)?);
-            }
-            Event::Call {
-                tid,
-                object,
-                method,
-                args: ArgList::from_slice(args_scratch),
-            }
-        }
-        TAG_RETURN => Event::Return {
-            tid,
-            object,
-            method: MethodId::from(cur.str_()?),
-            ret: decode_value(&mut cur, 0)?,
-        },
-        TAG_COMMIT => Event::Commit { tid, object },
-        TAG_BLOCK_BEGIN => Event::BlockBegin { tid, object },
-        TAG_BLOCK_END => Event::BlockEnd { tid, object },
-        TAG_WRITE => {
-            let space = cur.str_()?;
-            let index = cur.i64()?;
-            Event::Write {
-                tid,
-                object,
-                var: VarId::new(space, index),
-                value: decode_value(&mut cur, 0)?,
-            }
-        }
-        t => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown vyrd event tag {t}"),
-            ))
-        }
-    };
-    if cur.remaining() != 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("vyrd frame has {} trailing bytes", cur.remaining()),
-        ));
-    }
+/// # Errors
+///
+/// `InvalidData` on unknown tags, malformed payloads, nesting deeper than
+/// the format allows, or trailing bytes after the value; `UnexpectedEof`
+/// when the bytes end mid-value.
+pub fn decode_value(bytes: &[u8]) -> io::Result<Value> {
+    let mut cur = PayloadCursor::new(bytes);
+    let value = cur.value(0)?;
+    cur.finish()?;
+    Ok(value)
+}
+
+/// Decodes one event record from exactly `bytes` (as [`encode_event`]
+/// wrote it).
+///
+/// # Errors
+///
+/// As [`decode_value`], for event records.
+pub fn decode_event(bytes: &[u8]) -> io::Result<Event> {
+    decode_record(bytes, &mut Vec::new())
+}
+
+fn decode_record(bytes: &[u8], args_scratch: &mut Vec<Value>) -> io::Result<Event> {
+    let mut cur = PayloadCursor::new(bytes);
+    let event = cur.event(args_scratch)?;
+    cur.finish()?;
     Ok(event)
 }
 
@@ -704,6 +501,20 @@ impl<R: Read> FrameBuf<R> {
         self.refills += 1;
         Ok(n)
     }
+
+    /// Reads until `out` is full or the stream ends; returns how many
+    /// bytes arrived. Unlike `read_exact`, a short count is not an error,
+    /// so callers can tell a clean end (0) from a torn one.
+    fn fill(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let mut filled = 0;
+        while filled < out.len() {
+            match self.read(&mut out[filled..])? {
+                0 => break,
+                n => filled += n,
+            }
+        }
+        Ok(filled)
+    }
 }
 
 impl<R: Read> Read for FrameBuf<R> {
@@ -729,29 +540,18 @@ impl<R: Read> Read for FrameBuf<R> {
     }
 }
 
-/// Version-aware streaming decoder.
-///
-/// Sniffs the stream's first byte: the magic's `b'V'` means a versioned
-/// header follows; an event tag (or clean EOF) means a legacy headerless v1
-/// stream, whose records decode with
-/// [`ObjectId::DEFAULT`](crate::ObjectId::DEFAULT).
+/// Streaming decoder for a framed log.
 pub struct LogReader<R: Read> {
     reader: FrameBuf<R>,
-    version: u32,
-    /// Capture mode from the header; `None` for v1–v3 streams, which
-    /// predate the mode byte.
+    /// Capture mode from the header; `None` for an empty stream.
     mode: Option<LogMode>,
-    /// First byte of a v1 stream, consumed while sniffing for the magic.
-    pending_tag: Option<u8>,
     /// Reusable frame payload; its capacity survives across records so
     /// steady-state decoding re-reads into the same storage.
     payload: Vec<u8>,
     /// Reusable staging buffer for call arguments.
     args_scratch: Vec<Value>,
-    /// Events decoded so far (all versions).
+    /// Frames (one event each) decoded so far.
     events: u64,
-    /// CRC frames decoded so far (v3+ streams only).
-    frames: u64,
     /// Payload bytes decoded so far (frame headers excluded).
     payload_bytes: u64,
 }
@@ -759,97 +559,40 @@ pub struct LogReader<R: Read> {
 impl<R: Read> fmt::Debug for LogReader<R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LogReader")
-            .field("version", &self.version)
             .field("mode", &self.mode)
-            .field("pending_tag", &self.pending_tag)
+            .field("events", &self.events)
             .finish_non_exhaustive()
     }
 }
 
 impl<R: Read> LogReader<R> {
-    /// Opens a log stream, consuming its header if present.
+    /// Opens a log stream, consuming its header. An empty stream opens as
+    /// an empty log.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for a corrupt magic or an unsupported version,
-    /// and propagates I/O errors.
+    /// Returns `InvalidData` for a wrong magic, any version other than
+    /// [`FORMAT_VERSION`], or an undefined mode byte; `UnexpectedEof` when
+    /// the stream ends inside the header; and propagates I/O errors.
     pub fn new(reader: R) -> io::Result<LogReader<R>> {
         let mut reader = FrameBuf::new(reader);
-        let mut first = [0u8; 1];
-        match reader.read(&mut first)? {
-            0 => {
-                // Empty stream: version is moot, `next_event` yields None.
-                return Ok(LogReader::assemble(reader, FORMAT_VERSION, None, None));
-            }
-            1 => {}
-            _ => unreachable!("read of 1-byte buffer returned >1"),
-        }
-        if first[0] == MAGIC[0] {
-            let mut rest = [0u8; 3];
-            reader.read_exact(&mut rest)?;
-            if rest != MAGIC[1..] {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "corrupt vyrd log magic",
-                ));
-            }
-            let version = read_u32(&mut reader)?;
-            if version == 0 || version > FORMAT_VERSION {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unsupported vyrd log version {version}"),
-                ));
-            }
-            let mode = if version > LAST_MODELESS_VERSION {
-                let mut byte = [0u8; 1];
-                reader.read_exact(&mut byte)?;
-                // Strict: an undefined discriminant is damage, not a
-                // default. (A lenient fallback here would misreport a
-                // corrupted View stream as something it is not.)
-                let mode = LogMode::from_u8(byte[0]).ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("invalid vyrd log mode byte {:#04x}", byte[0]),
-                    )
-                })?;
-                Some(mode)
-            } else {
-                None
-            };
-            Ok(LogReader::assemble(reader, version, mode, None))
-        } else {
-            // No magic: a legacy v1 stream; the byte we read is its first
-            // record tag.
-            Ok(LogReader::assemble(reader, 1, None, Some(first[0])))
-        }
-    }
-
-    fn assemble(
-        reader: FrameBuf<R>,
-        version: u32,
-        mode: Option<LogMode>,
-        pending_tag: Option<u8>,
-    ) -> LogReader<R> {
-        LogReader {
+        let mut header = [0u8; HEADER_LEN as usize];
+        let mode = match reader.fill(&mut header)? {
+            0 => None,
+            n => Some(parse_header(&header[..n])?),
+        };
+        Ok(LogReader {
             reader,
-            version,
             mode,
-            pending_tag,
             payload: Vec::new(),
             args_scratch: Vec::new(),
             events: 0,
-            frames: 0,
             payload_bytes: 0,
-        }
+        })
     }
 
-    /// The format version of the stream being read.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// The [`LogMode`] the stream was captured under, recorded in the
-    /// header since format version 4. `None` for older streams.
+    /// The [`LogMode`] the stream was captured under, from its header.
+    /// `None` for an empty stream.
     pub fn mode(&self) -> Option<LogMode> {
         self.mode
     }
@@ -857,9 +600,7 @@ impl<R: Read> LogReader<R> {
     /// The byte offset at which the *next* record starts — i.e. how much of
     /// the stream has been decoded into trusted records so far.
     pub fn next_record_offset(&self) -> u64 {
-        // A sniffed-but-unconsumed v1 tag byte still belongs to the next
-        // record.
-        self.reader.pos - u64::from(self.pending_tag.is_some())
+        self.reader.pos
     }
 
     /// Decodes the next event, or `Ok(None)` at a clean end of stream.
@@ -877,70 +618,67 @@ impl<R: Read> LogReader<R> {
         if let vyrd_rt::fault::Disposition::Drop = vyrd_rt::fault::inject("codec.read") {
             return Ok(None);
         }
-        if self.version > LAST_UNFRAMED_VERSION {
-            return self.next_framed_event();
-        }
-        let tag = match self.pending_tag.take() {
-            Some(t) => t,
-            None => {
-                let mut tag = [0u8; 1];
-                match self.reader.read(&mut tag)? {
-                    0 => return Ok(None),
-                    1 => tag[0],
-                    _ => unreachable!("read of 1-byte buffer returned >1"),
-                }
-            }
-        };
-        let event = read_event_body(&mut self.reader, tag, self.version)?;
-        self.events += 1;
-        Ok(Some(event))
-    }
-
-    /// Decodes one v3 frame: `[len: u32][crc32: u32][payload]`.
-    fn next_framed_event(&mut self) -> io::Result<Option<Event>> {
-        // A clean end of stream is 0 bytes exactly at a frame boundary;
-        // 1–3 bytes of length prefix are already a torn tail.
-        let mut len_buf = [0u8; 4];
-        let mut filled = 0;
-        while filled < 4 {
-            let n = self.reader.read(&mut len_buf[filled..])?;
-            if n == 0 {
-                if filled == 0 {
-                    return Ok(None);
-                }
+        // A frame is `[len: u32][crc32: u32][payload]`. A clean end of
+        // stream is 0 bytes exactly at a frame boundary; 1–7 bytes of
+        // frame header are already a torn tail.
+        let mut frame_header = [0u8; 8];
+        match self.reader.fill(&mut frame_header)? {
+            0 => return Ok(None),
+            8 => {}
+            _ => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    "torn vyrd frame: stream ended inside a length prefix",
-                ));
+                    "torn vyrd frame: stream ended inside a frame header",
+                ))
             }
-            filled += n;
         }
-        let len = u32::from_le_bytes(len_buf);
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = frame_header;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
         if len == 0 || len > MAX_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("vyrd frame length {len} out of range"),
-            ));
+            return Err(invalid(format!("vyrd frame length {len} out of range")));
         }
-        let expected_crc = read_u32(&mut self.reader)?;
+        let expected_crc = u32::from_le_bytes([c0, c1, c2, c3]);
         self.payload.clear();
         self.payload.resize(len as usize, 0);
         self.reader.read_exact(&mut self.payload)?;
         let actual_crc = crc32(&self.payload);
         if actual_crc != expected_crc {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "vyrd frame checksum mismatch: stored {expected_crc:#010x}, computed {actual_crc:#010x}"
-                ),
-            ));
+            return Err(invalid(format!(
+                "vyrd frame checksum mismatch: stored {expected_crc:#010x}, computed {actual_crc:#010x}"
+            )));
         }
-        let event = decode_frame_payload(&self.payload, &mut self.args_scratch)?;
-        self.frames += 1;
+        let event = decode_record(&self.payload, &mut self.args_scratch)?;
         self.payload_bytes += u64::from(len);
         self.events += 1;
         Ok(Some(event))
     }
+}
+
+/// Checks whatever prefix of the header arrived. A prefix that already
+/// differs from a v4 header is damage (`InvalidData`); only a genuine v4
+/// prefix cut short is a torn header (`UnexpectedEof`).
+fn parse_header(header: &[u8]) -> io::Result<LogMode> {
+    let magic = &header[..header.len().min(MAGIC.len())];
+    if *magic != MAGIC[..magic.len()] {
+        return Err(invalid("corrupt vyrd log magic".to_owned()));
+    }
+    let version = &header[magic.len()..header.len().min(MAGIC.len() + 4)];
+    if *version != FORMAT_VERSION.to_le_bytes()[..version.len()] {
+        return Err(invalid(match <[u8; 4]>::try_from(version) {
+            Ok(v) => format!("unsupported vyrd log version {}", u32::from_le_bytes(v)),
+            Err(_) => "unsupported vyrd log version".to_owned(),
+        }));
+    }
+    let Some(&mode) = header.get(HEADER_LEN as usize - 1) else {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "vyrd log ends inside its header",
+        ));
+    };
+    // Strict: an undefined discriminant is damage, not a default. (A
+    // lenient fallback here would misreport a corrupted View stream as
+    // something it is not.)
+    LogMode::from_u8(mode).ok_or_else(|| invalid(format!("invalid vyrd log mode byte {mode:#04x}")))
 }
 
 impl<R: Read> Drop for LogReader<R> {
@@ -951,7 +689,6 @@ impl<R: Read> Drop for LogReader<R> {
         if (self.events > 0 || self.reader.refills > 0) && vyrd_rt::metrics::enabled() {
             let pm = crate::metrics::pipeline();
             pm.decode_events.add(self.events);
-            pm.decode_frames.add(self.frames);
             pm.decode_bytes.add(self.payload_bytes);
             pm.decode_refills.add(self.reader.refills);
         }
@@ -966,8 +703,7 @@ impl<R: Read> Iterator for LogReader<R> {
     }
 }
 
-/// Serializes a whole log: the versioned header, then one frame per
-/// event.
+/// Serializes a whole log: the header, then one frame per event.
 ///
 /// The header's mode byte is inferred from the events themselves: any
 /// view-refinement record (`Write`, `BlockBegin`, `BlockEnd`) marks the
@@ -997,8 +733,7 @@ pub fn write_log<W: Write>(w: &mut W, events: &[Event]) -> io::Result<()> {
     Ok(())
 }
 
-/// Deserializes a whole log until end of stream, accepting any supported
-/// version (headered v2/v3 and legacy headerless v1 streams).
+/// Deserializes a whole log until end of stream.
 ///
 /// # Errors
 ///
@@ -1006,12 +741,7 @@ pub fn write_log<W: Write>(w: &mut W, events: &[Event]) -> io::Result<()> {
 /// are discarded. Use [`read_log_recovering`] to salvage the valid prefix
 /// of a damaged log instead.
 pub fn read_log<R: Read>(r: &mut R) -> io::Result<Vec<Event>> {
-    let mut reader = LogReader::new(r)?;
-    let mut events = Vec::new();
-    while let Some(e) = reader.next_event()? {
-        events.push(e);
-    }
-    Ok(events)
+    LogReader::new(r)?.collect()
 }
 
 /// The result of decoding a possibly-damaged log with
@@ -1152,14 +882,14 @@ mod tests {
 
     fn roundtrip_value(v: &Value) -> Value {
         let mut buf = Vec::new();
-        write_value(&mut buf, v).unwrap();
-        read_value(&mut buf.as_slice()).unwrap()
+        encode_value(&mut buf, v);
+        decode_value(&buf).unwrap()
     }
 
     fn roundtrip_event(e: &Event) -> Event {
         let mut buf = Vec::new();
-        write_event(&mut buf, e).unwrap();
-        read_event(&mut buf.as_slice()).unwrap().unwrap()
+        encode_event(&mut buf, e);
+        decode_event(&buf).unwrap()
     }
 
     #[test]
@@ -1254,27 +984,18 @@ mod tests {
     }
 
     #[test]
-    fn headerless_v1_stream_decodes_with_default_object() {
-        // Hand-encode a v1 `Commit` record: tag, then tid only — no object.
-        let mut buf = vec![TAG_COMMIT];
-        buf.extend_from_slice(&9u32.to_le_bytes());
-        let mut reader = LogReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.version(), 1);
-        assert_eq!(
-            reader.next_event().unwrap(),
-            Some(Event::Commit {
-                tid: ThreadId(9),
-                object: ObjectId::DEFAULT,
-            })
-        );
-        assert_eq!(reader.next_event().unwrap(), None);
-    }
-
-    #[test]
     fn clean_eof_yields_none() {
         let empty: &[u8] = &[];
-        assert!(read_event(&mut { empty }).unwrap().is_none());
+        let mut reader = LogReader::new(empty).unwrap();
+        assert_eq!(reader.mode(), None);
+        assert!(reader.next_event().unwrap().is_none());
         assert!(read_log(&mut { empty }).unwrap().is_empty());
+        assert_eq!(
+            read_log_recovering(empty),
+            DecodeOutcome::Complete {
+                records: Vec::new()
+            }
+        );
     }
 
     #[test]
@@ -1290,9 +1011,23 @@ mod tests {
     }
 
     #[test]
+    fn only_a_genuine_v4_header_prefix_is_torn() {
+        let mut header = Vec::new();
+        write_header(&mut header, LogMode::Io).unwrap();
+        for n in 1..header.len() {
+            let err = read_log(&mut &header[..n]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "prefix {n}");
+        }
+        for short in [&b"VX"[..], b"VYRD\x05", b"VYRD\x04\x00\x01"] {
+            let err = read_log(&mut &short[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{short:?}");
+        }
+    }
+
+    #[test]
     fn truncated_record_is_an_error() {
         let mut buf = Vec::new();
-        write_event(
+        encode_event(
             &mut buf,
             &Event::Return {
                 tid: ThreadId(1),
@@ -1300,11 +1035,31 @@ mod tests {
                 method: "m".into(),
                 ret: Value::Str("abcdef".to_owned()),
             },
-        )
-        .unwrap();
+        );
         buf.truncate(buf.len() - 2);
-        let err = read_event(&mut buf.as_slice()).unwrap_err();
+        let err = decode_event(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn trailing_bytes_after_a_record_are_rejected() {
+        let mut buf = Vec::new();
+        encode_value(&mut buf, &Value::Int(7));
+        buf.push(TAG_UNIT);
+        let err = decode_value(&buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("trailing"), "{err}");
+        let mut buf = Vec::new();
+        encode_event(
+            &mut buf,
+            &Event::Commit {
+                tid: ThreadId(1),
+                object: ObjectId(2),
+            },
+        );
+        buf.push(0);
+        let err = decode_event(&buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -1341,7 +1096,6 @@ mod tests {
         let mut buf = Vec::new();
         write_log(&mut buf, &log).unwrap();
         let reader = LogReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.version(), 4);
         // sample_log is pure call/commit/return, so the inferred mode is Io.
         assert_eq!(reader.mode(), Some(LogMode::Io));
         assert_eq!(read_log(&mut buf.as_slice()).unwrap(), log);
@@ -1376,27 +1130,6 @@ mod tests {
         let reader = LogReader::new(buf.as_slice()).unwrap();
         assert_eq!(reader.mode(), Some(LogMode::View));
         assert_eq!(read_log(&mut buf.as_slice()).unwrap(), log);
-    }
-
-    #[test]
-    fn v3_streams_still_decode_without_a_mode() {
-        // A v3 stream is the modeless header followed by frames.
-        let log = sample_log();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        let mut scratch = Vec::new();
-        for e in &log {
-            write_frame_with(&mut buf, &mut scratch, e).unwrap();
-        }
-        let mut reader = LogReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.version(), 3);
-        assert_eq!(reader.mode(), None);
-        let mut events = Vec::new();
-        while let Some(e) = reader.next_event().unwrap() {
-            events.push(e);
-        }
-        assert_eq!(events, log);
     }
 
     #[test]
@@ -1439,25 +1172,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_streams_still_decode() {
-        // A v2 stream is the old header followed by bare records.
-        let log = sample_log();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&2u32.to_le_bytes());
-        for e in &log {
-            write_event(&mut buf, e).unwrap();
-        }
-        let mut reader = LogReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.version(), 2);
-        let mut events = Vec::new();
-        while let Some(e) = reader.next_event().unwrap() {
-            events.push(e);
-        }
-        assert_eq!(events, log);
-    }
-
-    #[test]
     fn torn_v3_tail_recovers_the_frame_prefix() {
         let log = sample_log();
         let mut buf = Vec::new();
@@ -1476,9 +1190,10 @@ mod tests {
                 assert_eq!(records, log[..2]);
                 // The damage starts exactly where the third frame began.
                 let mut prefix = Vec::new();
+                let mut scratch = Vec::new();
                 write_header(&mut prefix, LogMode::Io).unwrap();
-                write_frame(&mut prefix, &log[0]).unwrap();
-                write_frame(&mut prefix, &log[1]).unwrap();
+                write_frame_with(&mut prefix, &mut scratch, &log[0]).unwrap();
+                write_frame_with(&mut prefix, &mut scratch, &log[1]).unwrap();
                 assert_eq!(truncated_at, prefix.len() as u64);
                 // Everything after the last trusted frame was discarded.
                 assert_eq!(bytes_discarded, (torn.len() - prefix.len()) as u64);
@@ -1519,10 +1234,9 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_invalid_data() {
-        let buf = [200u8, 0, 0, 0];
-        let err = read_event(&mut buf.as_slice()).unwrap_err();
+        let err = decode_event(&[200u8, 0, 0, 0]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let err = read_value(&mut [99u8].as_slice()).unwrap_err();
+        let err = decode_value(&[99u8]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -1531,7 +1245,7 @@ mod tests {
         // TAG_STR with a 512 MiB length prefix.
         let mut buf = vec![TAG_STR];
         buf.extend_from_slice(&(1u32 << 29).to_le_bytes());
-        let err = read_value(&mut buf.as_slice()).unwrap_err();
+        let err = decode_value(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -1540,7 +1254,7 @@ mod tests {
         // A "pair bomb": thousands of consecutive pair tags would recurse
         // once per byte without the depth guard.
         let bomb = vec![TAG_PAIR; 100_000];
-        let err = read_value(&mut bomb.as_slice()).unwrap_err();
+        let err = decode_value(&bomb).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("nested deeper"));
         // Legitimate nesting well under the limit still round-trips.

@@ -49,8 +49,7 @@ impl fmt::Display for ThreadId {
 pub struct ObjectId(pub u32);
 
 impl ObjectId {
-    /// The object id used when a run does not distinguish objects — and
-    /// the id assigned to every event of a legacy (pre-`ObjectId`) log.
+    /// The object id used when a run does not distinguish objects.
     pub const DEFAULT: ObjectId = ObjectId(0);
 }
 

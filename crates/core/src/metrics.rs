@@ -32,7 +32,7 @@ pub struct PipelineMetrics {
     pub log_events_appended: Arc<Counter>,
     /// Batches accepted into the merger.
     pub log_batches_submitted: Arc<Counter>,
-    /// Events per accepted batch (occupancy of the [`BATCH`]-sized
+    /// Events per accepted batch (occupancy of the `BATCH`-sized
     /// per-thread buffers at submit time).
     pub log_batch_occupancy: Arc<Histogram>,
     /// Batches parked on the flat-combining backlog because the merger
@@ -45,7 +45,8 @@ pub struct PipelineMetrics {
     pub log_merger_parked_peak: Arc<Gauge>,
     /// Pressure-relief flushes triggered by a deep merger park.
     pub log_pressure_flushes: Arc<Counter>,
-    /// Events discarded because they arrived after [`EventLog::close`].
+    /// Events discarded because they arrived after
+    /// [`EventLog::close`](crate::log::EventLog::close).
     pub log_events_discarded: Arc<Counter>,
     /// Events dropped by the `log.append` failpoint.
     pub log_events_dropped_injected: Arc<Counter>,
@@ -170,8 +171,6 @@ pub struct PipelineMetrics {
     pub decode_events: Arc<Counter>,
     /// Payload bytes decoded (CRC frames, headers excluded).
     pub decode_bytes: Arc<Counter>,
-    /// CRC frames decoded.
-    pub decode_frames: Arc<Counter>,
     /// Read syscalls issued to refill the decode buffer.
     pub decode_refills: Arc<Counter>,
 
@@ -252,7 +251,6 @@ pub fn pipeline() -> &'static PipelineMetrics {
         checker_lin_fastpath_hits: metrics::counter("lin.fastpath_hits"),
         decode_events: metrics::counter("decode.events"),
         decode_bytes: metrics::counter("decode.bytes"),
-        decode_frames: metrics::counter("decode.frames"),
         decode_refills: metrics::counter("decode.refills"),
         segment_sealed: metrics::counter("segment.sealed"),
         segment_deleted: metrics::counter("segment.deleted"),

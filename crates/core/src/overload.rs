@@ -10,7 +10,7 @@
 //!   [`ShardRouter`](crate::shard::ShardRouter) (which reads the live
 //!   timeout/budget on every overloaded dispatch and honors the
 //!   quarantine set) and the controller (which moves them). It also
-//!   collects one [`Monitor`](vyrd_rt::channel::Monitor) per announced
+//!   collects one [`Monitor`] per announced
 //!   shard, so lag can be computed from *live* channel consumption
 //!   rather than the end-of-run checker counters.
 //! * [`AdaptiveShed`] is the controller: on every tick it computes

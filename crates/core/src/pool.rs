@@ -1,6 +1,6 @@
 //! A pool of verifier threads checking per-object logs concurrently (§8).
 //!
-//! [`VerifierPool`] owns a [`ShardRouter`](crate::shard::ShardRouter) and
+//! [`VerifierPool`] owns a [`ShardRouter`] and
 //! a set of worker threads. Each worker pulls newly-announced shards and
 //! runs one [`Checker`](crate::checker::Checker) — built per object by a
 //! caller-supplied factory — over that object's event stream. Checking
@@ -620,26 +620,7 @@ impl VerifierPool {
         }
         let mut merged = Report::default();
         for (_, report) in &per_object {
-            let s = &report.stats;
-            let m = &mut merged.stats;
-            m.events += s.events;
-            m.commits_applied += s.commits_applied;
-            m.methods_completed += s.methods_completed;
-            m.observers_checked += s.observers_checked;
-            m.snapshots_taken += s.snapshots_taken;
-            m.view_comparisons += s.view_comparisons;
-            m.view_keys_compared += s.view_keys_compared;
-            m.writes_replayed += s.writes_replayed;
-            m.lin_windows_searched += s.lin_windows_searched;
-            m.lin_witness_backtracks += s.lin_witness_backtracks;
-            m.lin_fastpath_hits += s.lin_fastpath_hits;
-            m.batches += s.batches;
-            m.batch_events += s.batch_events;
-            m.snapshot_replays += s.snapshot_replays;
-            merged.degradation.absorb(&report.degradation);
-            if merged.violation.is_none() {
-                merged.violation = report.violation.clone();
-            }
+            merged.absorb(report);
         }
         // Coverage lost before any checker saw the events: router-level
         // sheds (overload or injected routing drops) and appends dropped
@@ -647,6 +628,7 @@ impl VerifierPool {
         let routing_losses = Degradation {
             sheds_by_object: self.router.sheds(),
             shed_windows: self.router.shed_windows(),
+            undelivered_events: self.router.undelivered(),
             lost_workers,
             spawn_fallbacks,
             ..Degradation::default()

@@ -1,8 +1,8 @@
 //! Checkpoint files: durable snapshots of the continuous verifier.
 //!
-//! A checkpoint captures everything the [`ContinuousVerifier`]
-//! (super::continuous) needs to resume after a crash without re-reading
-//! the segments it has already checked:
+//! A checkpoint captures everything the
+//! [`ContinuousVerifier`](super::ContinuousVerifier) needs to resume
+//! after a crash without re-reading the segments it has already checked:
 //!
 //! * `next_seq` — the durable sequence number of the first *unchecked*
 //!   event (every segment entirely below it may be deleted),
@@ -24,7 +24,7 @@
 //! payload a single codec Value (see below)
 //! ```
 //!
-//! The payload rides the [`codec`](crate::codec) `Value` wire format:
+//! The payload rides the [`codec`] `Value` wire format:
 //! `[next_seq, degradation, [(object, state), …]]`. The two newest
 //! checkpoints are retained; recovery falls back to the older one when
 //! the newest is unreadable.
@@ -115,7 +115,7 @@ pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<PathBuf>> {
 /// Propagates I/O errors; on error the previous checkpoints are intact.
 pub fn write_checkpoint(dir: &Path, checkpoint: &Checkpoint) -> io::Result<PathBuf> {
     let mut payload = Vec::with_capacity(256);
-    codec::write_value(&mut payload, &checkpoint_value(checkpoint))?;
+    codec::encode_value(&mut payload, &checkpoint_value(checkpoint));
     let tmp = dir.join(CHECKPOINT_TMP);
     {
         let mut file = File::create(&tmp)?;
@@ -172,12 +172,7 @@ pub fn read_checkpoint(path: &Path) -> io::Result<Checkpoint> {
     if crc32(payload) != crc {
         return Err(malformed("checkpoint payload CRC mismatch"));
     }
-    let mut cursor = payload;
-    let value = codec::read_value(&mut cursor)?;
-    if !cursor.is_empty() {
-        return Err(malformed("trailing bytes after checkpoint payload"));
-    }
-    value_checkpoint(&value)
+    value_checkpoint(&codec::decode_value(payload)?)
 }
 
 /// Loads the newest checkpoint whose file decodes and validates,

@@ -8,7 +8,7 @@
 //! sequence order; [`ContinuousVerifier::finalize`] additionally
 //! recovers the unsealed tail (legitimately torn after a crash) and
 //! folds the per-object reports into one merged
-//! [`Report`](crate::violation::Report), exactly like
+//! [`Report`], exactly like
 //! [`VerifierPool::finish_all`](crate::pool::VerifierPool::finish_all).
 //!
 //! Crash-recovery invariants:
@@ -20,7 +20,7 @@
 //! * **Torn data degrades, never forges** — bytes discarded while
 //!   recovering the tail, sealed segments that decode short, and holes
 //!   left by missing files are charged to the
-//!   [`Degradation`](crate::violation::Degradation) ledger, so the final
+//!   [`Degradation`] ledger, so the final
 //!   verdict can be a degraded pass but never a clean `PASS` over a
 //!   damaged history.
 //! * **Strict order** — events past a hole or a damaged segment are
@@ -47,7 +47,7 @@ use super::checkpoint::{self, Checkpoint};
 use super::{scan_segments, ScannedSegment};
 
 /// A checker that can be fed one event at a time and serialized between
-/// events — [`Checker`](crate::checker::Checker) with its type erased,
+/// events — [`Checker`] with its type erased,
 /// object-safe so checkers over different specifications can share a
 /// map. Every stepping checker is also an
 /// [`ObjectChecker`](crate::pool::ObjectChecker), so the same erased
@@ -285,7 +285,7 @@ impl ContinuousVerifier {
                 break;
             }
             let sealed_events = segment.sealed_events.unwrap_or(0);
-            let (events, damage) = read_sealed(segment)?;
+            let (events, damage) = read_segment(segment)?;
             let decoded = events.len() as u64;
             progress.events_checked += self.feed_from(segment.first_seq, events);
             if decoded < sealed_events || damage > 0 {
@@ -419,27 +419,7 @@ impl ContinuousVerifier {
         self.checkpoint()?;
         let mut merged = Report::default();
         for (_, checker) in std::mem::take(&mut self.checkers) {
-            let report = checker.finish();
-            let m = &mut merged.stats;
-            let s = &report.stats;
-            m.events += s.events;
-            m.commits_applied += s.commits_applied;
-            m.methods_completed += s.methods_completed;
-            m.observers_checked += s.observers_checked;
-            m.snapshots_taken += s.snapshots_taken;
-            m.view_comparisons += s.view_comparisons;
-            m.view_keys_compared += s.view_keys_compared;
-            m.writes_replayed += s.writes_replayed;
-            m.lin_windows_searched += s.lin_windows_searched;
-            m.lin_witness_backtracks += s.lin_witness_backtracks;
-            m.lin_fastpath_hits += s.lin_fastpath_hits;
-            m.batches += s.batches;
-            m.batch_events += s.batch_events;
-            m.snapshot_replays += s.snapshot_replays;
-            merged.degradation.absorb(&report.degradation);
-            if merged.violation.is_none() {
-                merged.violation = report.violation.clone();
-            }
+            merged.absorb(&checker.finish());
         }
         merged.degradation.absorb(&self.degradation);
         Ok(merged)
@@ -476,17 +456,7 @@ impl ContinuousVerifier {
                 self.degradation.torn_bytes_discarded += len;
                 continue;
             }
-            let (events, damage) = match File::open(&segment.path) {
-                Ok(file) => match codec::read_log_recovering(file) {
-                    DecodeOutcome::Complete { records } => (records, 0),
-                    DecodeOutcome::RecoveredPrefix {
-                        records,
-                        bytes_discarded,
-                        ..
-                    } => (records, bytes_discarded),
-                },
-                Err(e) => return Err(e),
-            };
+            let (events, damage) = read_segment(segment)?;
             let decoded = events.len() as u64;
             self.feed_from(segment.first_seq, events);
             self.next_seq = segment.first_seq + decoded;
@@ -500,9 +470,9 @@ impl ContinuousVerifier {
     }
 }
 
-/// Reads one sealed segment, tolerating (and measuring) a damaged tail.
-/// Returns the decoded events and the number of damaged bytes.
-fn read_sealed(segment: &ScannedSegment) -> io::Result<(Vec<Event>, u64)> {
+/// Reads one segment file, sealed or tail, tolerating (and measuring)
+/// damage. Returns the decoded events and the number of damaged bytes.
+fn read_segment(segment: &ScannedSegment) -> io::Result<(Vec<Event>, u64)> {
     let file = File::open(&segment.path)?;
     Ok(match codec::read_log_recovering(file) {
         DecodeOutcome::Complete { records } => (records, 0),
@@ -703,6 +673,46 @@ mod tests {
         assert!(report.passed(), "prefix is clean: {report:?}");
         assert!(report.is_degraded(), "torn bytes must degrade");
         assert!(report.degradation.torn_bytes_discarded > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A tail segment whose header is damaged must not decode into
+    /// records: a first byte that happens to be the `Commit` tag once
+    /// forged a commit by a nonexistent thread and turned the verdict
+    /// into a FAIL. The tail is discarded as torn bytes instead.
+    #[test]
+    fn tail_with_a_damaged_header_degrades_instead_of_failing() {
+        let dir = temp_dir("continuous-tail-header");
+        std::fs::remove_dir_all(&dir).ok();
+        let total = record(&dir, 40, 256);
+        // Un-seal the last segment and overwrite its first byte with the
+        // `Commit` record tag.
+        let manifest = dir.join("manifest.log");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        assert!(lines.len() >= 3, "need at least two sealed segments");
+        lines.pop();
+        std::fs::write(&manifest, lines.join("\n") + "\n").unwrap();
+        let tail = scan_segments(&dir).unwrap().pop().unwrap();
+        assert!(tail.sealed_events.is_none());
+        let mut bytes = std::fs::read(&tail.path).unwrap();
+        bytes[0] = 0x12;
+        std::fs::write(&tail.path, &bytes).unwrap();
+
+        let verifier =
+            ContinuousVerifier::open(&dir, factory(), ContinuousOptions::default()).unwrap();
+        let report = verifier.finalize().unwrap();
+        assert_eq!(
+            report.verdict(),
+            crate::violation::Verdict::DegradedPass,
+            "{report}"
+        );
+        assert_eq!(
+            report.degradation.torn_bytes_discarded,
+            bytes.len() as u64,
+            "{report}"
+        );
+        assert!(report.stats.events < total);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,7 +9,7 @@
 //! 1. **Spilling** — [`EventLog::to_segments`](crate::log::EventLog::to_segments)
 //!    forwards every merged run to a background writer thread which
 //!    appends the events, in global order, to file-backed *segments*:
-//!    each segment is an independent stream in the [`codec`](crate::codec)
+//!    each segment is an independent stream in the [`codec`]
 //!    wire format (header + CRC'd frames), named after the *durable
 //!    sequence number* of its first event. When a segment reaches the
 //!    configured byte budget it is **sealed**: flushed, fsynced, and

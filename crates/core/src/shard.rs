@@ -37,10 +37,13 @@
 
 use std::collections::BTreeMap;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vyrd_rt::channel::{self, Receiver, RecvError, SendTimeoutError, Sender, TryRecvError};
+use vyrd_rt::channel::{
+    self, Receiver, RecvError, SendError, SendTimeoutError, Sender, TryRecvError,
+};
 use vyrd_rt::sync::Mutex;
 
 use crate::event::{Event, ObjectId};
@@ -203,6 +206,9 @@ struct RouteState {
     announce: Sender<(ObjectId, Receiver<Event>)>,
     sheds: Arc<Mutex<BTreeMap<ObjectId, u64>>>,
     windows: Arc<Mutex<BTreeMap<u32, ShedWindow>>>,
+    /// Events of batches a hung-up checker could not receive (see
+    /// [`ShardRouter::undelivered`]).
+    undelivered: Arc<AtomicU64>,
     slots: HashMap<u32, Slot>,
     /// Per-object delivery counters, registered lazily as each object
     /// announces its shard (the registration allocation happens once per
@@ -387,10 +393,9 @@ impl RouteState {
     }
 
     /// Marks `n` successful deliveries: the gap-free-prefix counter plus
-    /// the routed/fan-out metrics. `shard.events_routed` counts
-    /// deliveries only — appends that were shed instead are under
-    /// `shard.events_shed`, so
-    /// `appended == routed + shed (+ stranded at shutdown)`.
+    /// the routed/fan-out metrics. `shard.events_routed` counts events
+    /// handed to a shard — appends that were shed instead are under
+    /// `shard.events_shed`, so `appended == routed + shed`.
     fn mark_delivered(&mut self, object: ObjectId, n: u64) {
         *self.delivered.entry(object.0).or_insert(0) += n;
         if vyrd_rt::metrics::enabled() {
@@ -406,10 +411,18 @@ impl RouteState {
         }
     }
 
-    /// Delivers the object's pending batch with one `send_many`. A
-    /// disconnected checker loses the batch, matching the per-event
-    /// path's fire-and-forget send; the buffer's capacity is retained
-    /// for the next run either way.
+    /// Delivers the object's pending batch with one `send_many`; the
+    /// buffer's capacity is retained for the next run either way.
+    ///
+    /// A checker that has hung up (stopped at a violation, or its worker
+    /// died) cannot take the batch. The events were routed, so they count
+    /// as routed, and the loss goes into the undelivered ledger. They are
+    /// not sheds and the slot stays live: a shed is a drop the router
+    /// chose, and the shed count must stay exactly what overload and
+    /// injected drops caused. A batch cut off mid-send (a bounded shard
+    /// that blocked, then hung up) splits: the part that reached the
+    /// channel counts as delivered, and the checker side accounts for it;
+    /// only the part left behind is undelivered.
     fn flush_object(&mut self, object: u32) {
         let Some(buf) = self.pending.get_mut(&object) else {
             return;
@@ -418,17 +431,27 @@ impl RouteState {
             return;
         }
         let n = buf.len() as u64;
-        let sent = match self.slots.get(&object) {
-            Some(Slot::Live(sender)) => sender.send_many(buf).is_ok(),
-            _ => false,
+        let lost = match self.slots.get(&object) {
+            Some(Slot::Live(sender)) => match sender.send_many(buf) {
+                Ok(()) => 0,
+                Err(SendError(unqueued)) => unqueued as u64,
+            },
+            _ => n,
         };
         buf.clear();
-        if sent {
-            self.mark_delivered(ObjectId(object), n);
+        if n > lost {
+            self.mark_delivered(ObjectId(object), n - lost);
+        }
+        if lost == 0 {
             if vyrd_rt::metrics::enabled() {
                 let pm = pipeline();
                 pm.shard_batch_sends.inc();
                 pm.shard_batch_occupancy.record(n);
+            }
+        } else {
+            self.undelivered.fetch_add(lost, Ordering::Relaxed);
+            if vyrd_rt::metrics::enabled() {
+                pipeline().shard_events_routed.add(lost);
             }
         }
     }
@@ -467,6 +490,7 @@ pub struct ShardRouter {
     shards: Receiver<(ObjectId, Receiver<Event>)>,
     sheds: Arc<Mutex<BTreeMap<ObjectId, u64>>>,
     windows: Arc<Mutex<BTreeMap<u32, ShedWindow>>>,
+    undelivered: Arc<AtomicU64>,
 }
 
 impl ShardRouter {
@@ -499,6 +523,7 @@ impl ShardRouter {
         let sheds: Arc<Mutex<BTreeMap<ObjectId, u64>>> = Arc::new(Mutex::new(BTreeMap::new()));
         let windows: Arc<Mutex<BTreeMap<u32, ShedWindow>>> =
             Arc::new(Mutex::new(BTreeMap::new()));
+        let undelivered = Arc::new(AtomicU64::new(0));
         let mut state = RouteState {
             // Batched delivery holds events back until the end of the
             // merged run, so it is only sound when a full channel blocks
@@ -512,6 +537,7 @@ impl ShardRouter {
             announce,
             sheds: Arc::clone(&sheds),
             windows: Arc::clone(&windows),
+            undelivered: Arc::clone(&undelivered),
             slots: HashMap::new(),
             fanout: HashMap::new(),
             seq: 0,
@@ -533,6 +559,7 @@ impl ShardRouter {
                 shards,
                 sheds,
                 windows,
+                undelivered,
             },
         )
     }
@@ -567,6 +594,14 @@ impl ShardRouter {
     /// [`Degradation::shed_windows`](crate::violation::Degradation::shed_windows).
     pub fn shed_windows(&self) -> Vec<ShedWindow> {
         self.windows.lock().values().copied().collect()
+    }
+
+    /// Events routed in batches to an object whose checker had already
+    /// hung up, so they were never checked. The merged report carries
+    /// them in
+    /// [`Degradation::undelivered_events`](crate::violation::Degradation::undelivered_events).
+    pub fn undelivered(&self) -> u64 {
+        self.undelivered.load(Ordering::Relaxed)
     }
 }
 
@@ -683,6 +718,48 @@ mod tests {
         let delivered = rx.iter().count() as u64;
         assert_eq!(delivered, 2, "only the capacity's worth gets through");
         assert_eq!(router.sheds(), vec![(ObjectId::DEFAULT, 30 - delivered)]);
+    }
+
+    #[test]
+    fn batches_for_a_hung_up_checker_are_undelivered_not_shed() {
+        let (log, router) = ShardRouter::new(LogMode::Io, ShardConfig::default());
+        drive(&log, ObjectId(0), 1);
+        drive(&log, ObjectId(1), 1);
+        log.flush();
+        let (first, rx0) = router.recv_shard().unwrap();
+        let (second, rx1) = router.recv_shard().unwrap();
+        assert_eq!((first, second), (ObjectId(0), ObjectId(1)));
+        // Object 0's checker hangs up; its later batches have nowhere to
+        // go, while object 1 keeps receiving.
+        drop(rx0);
+        drive(&log, ObjectId(0), 2);
+        log.flush();
+        drive(&log, ObjectId(0), 1);
+        drive(&log, ObjectId(1), 1);
+        log.close();
+        assert_eq!(router.undelivered(), 3 * 3);
+        assert!(router.sheds().is_empty(), "{:?}", router.sheds());
+        assert!(router.shed_windows().is_empty());
+        assert_eq!(rx1.iter().count(), 2 * 3);
+    }
+
+    #[test]
+    fn a_batch_cut_off_mid_send_counts_only_its_unqueued_part() {
+        // Capacity 2, blocking: the flush queues two events, blocks, and
+        // the checker then hangs up without taking any.
+        let (log, router) = ShardRouter::new(LogMode::Io, ShardConfig::bounded(2));
+        let producer = std::thread::spawn(move || {
+            drive(&log, ObjectId(0), 4); // 12 events
+            log.close();
+        });
+        let (_, rx) = router.recv_shard().unwrap();
+        while rx.len() < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(rx);
+        producer.join().unwrap();
+        assert_eq!(router.undelivered(), 12 - 2);
+        assert!(router.sheds().is_empty(), "{:?}", router.sheds());
     }
 
     #[test]

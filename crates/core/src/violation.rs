@@ -539,6 +539,13 @@ pub struct Degradation {
     /// `events_lost` so conservation reconciles exactly:
     /// `appended == checked + sheds + stranded (+ injected drops)`.
     pub stranded_events: u64,
+    /// Events the shard router routed to an object whose checker had
+    /// already hung up (it stopped at a violation, or its worker died):
+    /// the batch could not be handed over, so nobody checked it. These
+    /// are not sheds — the router sheds only events it chose to drop —
+    /// so conservation reads `appended == routed + sheds (+ injected
+    /// drops)`, with these counted among the routed.
+    pub undelivered_events: u64,
 }
 
 impl Degradation {
@@ -560,6 +567,7 @@ impl Degradation {
             || self.torn_bytes_discarded > 0
             || self.unreliable_violations > 0
             || self.stranded_events > 0
+            || self.undelivered_events > 0
     }
 
     /// Folds another degradation record into this one (used when merging
@@ -605,6 +613,7 @@ impl Degradation {
         self.watchdog_events.sort_by_key(|e| (e.tick, e.object));
         self.unreliable_violations += other.unreliable_violations;
         self.stranded_events += other.stranded_events;
+        self.undelivered_events += other.undelivered_events;
     }
 }
 
@@ -648,6 +657,13 @@ impl fmt::Display for Degradation {
         }
         if self.stranded_events > 0 {
             write!(f, "; {} events stranded in shard queues", self.stranded_events)?;
+        }
+        if self.undelivered_events > 0 {
+            write!(
+                f,
+                "; {} events routed after their checker hung up",
+                self.undelivered_events
+            )?;
         }
         Ok(())
     }
@@ -709,6 +725,33 @@ impl Report {
             Verdict::DegradedPass
         } else {
             Verdict::Pass
+        }
+    }
+
+    /// Folds one object's report into a merged one: the checker counters
+    /// add up, the degradation ledgers accumulate, and the first
+    /// violation is kept. (`events_discarded_after_close` is a log-level
+    /// count, set once on the merged report, never per object.)
+    pub fn absorb(&mut self, other: &Report) {
+        let m = &mut self.stats;
+        let s = &other.stats;
+        m.events += s.events;
+        m.commits_applied += s.commits_applied;
+        m.methods_completed += s.methods_completed;
+        m.observers_checked += s.observers_checked;
+        m.snapshots_taken += s.snapshots_taken;
+        m.view_comparisons += s.view_comparisons;
+        m.view_keys_compared += s.view_keys_compared;
+        m.writes_replayed += s.writes_replayed;
+        m.lin_windows_searched += s.lin_windows_searched;
+        m.lin_witness_backtracks += s.lin_witness_backtracks;
+        m.lin_fastpath_hits += s.lin_fastpath_hits;
+        m.batches += s.batches;
+        m.batch_events += s.batch_events;
+        m.snapshot_replays += s.snapshot_replays;
+        self.degradation.absorb(&other.degradation);
+        if self.violation.is_none() {
+            self.violation.clone_from(&other.violation);
         }
     }
 }

@@ -35,6 +35,8 @@
 //! was raised across shed or torn input, and minimizing it would lend
 //! false precision to a verdict the checker itself has flagged. The
 //! pipeline returns [`WitnessError::Unreliable`] instead.
+//!
+//! [`Degradation::unreliable_violations`]: crate::violation::Degradation::unreliable_violations
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -1,20 +1,13 @@
 //! Crash-tolerance contract (satellite of the fault-injection work): a
 //! log chopped at **every** byte offset — simulating a writer that died
 //! mid-record — must decode without a panic, recovering exactly the
-//! maximal prefix of complete records. Exercised against all three wire
-//! formats: the checked-in v1 fixture, a synthetic bare-record v2
-//! stream, and the current framed-and-checksummed v3.
+//! maximal prefix of complete records. Damage anywhere else, the header
+//! included, must never decode into records that were not written: a
+//! flipped or forged header byte yields zero records and discards the
+//! whole stream.
 
-use std::fs;
-use std::path::PathBuf;
-
-use vyrd_core::codec::{self, DecodeOutcome, MAGIC};
+use vyrd_core::codec::{self, DecodeOutcome, FORMAT_VERSION, HEADER_LEN, MAGIC};
 use vyrd_core::{Event, MethodId, ObjectId, ThreadId, Value, VarId};
-
-fn v1_fixture() -> Vec<u8> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/v1_pre_objectid.log");
-    fs::read(path).expect("v1 fixture present")
-}
 
 fn sample_events() -> Vec<Event> {
     let mut events = Vec::new();
@@ -44,19 +37,8 @@ fn sample_events() -> Vec<Event> {
     events
 }
 
-/// A v2 stream: `MAGIC` + version 2 + bare (unframed) records.
-fn v2_bytes(events: &[Event]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&2u32.to_le_bytes());
-    for e in events {
-        codec::write_event(&mut bytes, e).expect("vec write");
-    }
-    bytes
-}
-
-/// A v3 stream: the current framed format, via the public writer.
-fn v3_bytes(events: &[Event]) -> Vec<u8> {
+/// A stream in the framed format, via the public writer.
+fn stream_bytes(events: &[Event]) -> Vec<u8> {
     let mut bytes = Vec::new();
     codec::write_log(&mut bytes, events).expect("vec write");
     bytes
@@ -103,42 +85,22 @@ fn assert_recovers_prefix_at_every_cut(label: &str, bytes: &[u8], full: &[Event]
 }
 
 #[test]
-fn v1_fixture_chopped_at_every_offset_recovers_a_prefix() {
-    let bytes = v1_fixture();
-    let full = match codec::read_log_recovering(&bytes[..]) {
-        DecodeOutcome::Complete { records } => records,
-        DecodeOutcome::RecoveredPrefix { detail, .. } => {
-            panic!("fixture itself failed to decode: {detail}")
-        }
-    };
-    assert!(!full.is_empty(), "fixture holds events");
-    assert_recovers_prefix_at_every_cut("v1", &bytes, &full);
-}
-
-#[test]
-fn v2_stream_chopped_at_every_offset_recovers_a_prefix() {
-    let full = sample_events();
-    let bytes = v2_bytes(&full);
-    assert_recovers_prefix_at_every_cut("v2", &bytes, &full);
-}
-
-#[test]
 fn v3_stream_chopped_at_every_offset_recovers_a_prefix() {
     let full = sample_events();
-    let bytes = v3_bytes(&full);
-    assert_recovers_prefix_at_every_cut("v3", &bytes, &full);
+    let bytes = stream_bytes(&full);
+    assert_recovers_prefix_at_every_cut("framed", &bytes, &full);
 }
 
 #[test]
 fn v3_flipped_byte_is_rejected_by_the_frame_checksum_not_a_panic() {
     let full = sample_events();
-    let bytes = v3_bytes(&full);
-    // Flip one byte at a time across every frame (the 8-byte header is
-    // excluded: a damaged magic legitimately re-sniffs as headerless v1).
-    // Every corruption must surface as a recovered prefix — the checksum
-    // catches payload damage, the length checks catch framing damage —
-    // and nothing may panic.
-    for i in 8..bytes.len() {
+    let bytes = stream_bytes(&full);
+    // Flip one byte at a time across the whole stream, header included.
+    // Every corruption must surface as a recovered prefix — the strict
+    // header checks catch header damage, the checksum catches payload
+    // damage, the length checks catch framing damage — and nothing may
+    // panic.
+    for i in 0..bytes.len() {
         let mut corrupt = bytes.clone();
         corrupt[i] ^= 0x40;
         let outcome = codec::read_log_recovering(&corrupt[..]);
@@ -153,5 +115,58 @@ fn v3_flipped_byte_is_rejected_by_the_frame_checksum_not_a_panic() {
             !outcome.is_complete(),
             "flip at {i}: corrupted stream decoded as complete"
         );
+        if (i as u64) < HEADER_LEN {
+            assert!(
+                records.is_empty(),
+                "flip at {i}: damaged header yielded records"
+            );
+        }
+    }
+}
+
+/// Asserts that a stream with a damaged header recovers nothing: zero
+/// records, damage at offset 0, and every byte discarded.
+fn assert_rejected_outright(label: &str, bytes: &[u8]) {
+    match codec::read_log_recovering(bytes) {
+        DecodeOutcome::RecoveredPrefix {
+            records,
+            truncated_at,
+            bytes_discarded,
+            detail,
+        } => {
+            assert!(records.is_empty(), "{label}: forged records {records:?}");
+            assert_eq!(truncated_at, 0, "{label}: {detail}");
+            assert_eq!(bytes_discarded, bytes.len() as u64, "{label}: {detail}");
+        }
+        other => panic!("{label}: damaged header decoded as {other:?}"),
+    }
+}
+
+#[test]
+fn record_tag_in_the_first_byte_is_rejected_not_decoded() {
+    // A headerless stream is damage, not a legacy format: a first byte
+    // that happens to be a record tag must not decode as that record.
+    let bytes = stream_bytes(&sample_events());
+    for tag in 16u8..=21 {
+        let mut forged = bytes.clone();
+        forged[0] = tag;
+        assert_rejected_outright(&format!("first byte {tag:#04x}"), &forged);
+    }
+}
+
+#[test]
+fn forged_version_or_mode_byte_is_rejected() {
+    let bytes = stream_bytes(&sample_events());
+    for version in [0u32, 1, 2, 3, 5, u32::MAX] {
+        assert_ne!(version, FORMAT_VERSION);
+        let mut forged = bytes.clone();
+        forged[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+        assert_rejected_outright(&format!("version {version}"), &forged);
+    }
+    let mode_at = MAGIC.len() + 4;
+    for mode in [3u8, 4, 0x12, 0x7F, 0xFF] {
+        let mut forged = bytes.clone();
+        forged[mode_at] = mode;
+        assert_rejected_outright(&format!("mode byte {mode:#04x}"), &forged);
     }
 }

@@ -6,11 +6,12 @@
 //! This is the robustness counterpart of `tests/shard_agreement.rs`: the
 //! agreement tests establish that sharded checking is verdict-preserving
 //! on healthy runs; the matrix establishes what happens when pieces of
-//! the pipeline misbehave. Each case installs a seeded
-//! [`FaultPlan`](vyrd_rt::fault::FaultPlan) (so a CI failure replays from
-//! its logged seed, see [`vyrd_rt::fault::SEED_ENV`]), drives a recorded
-//! multi-object trace through a supervised [`VerifierPool`], and checks
-//! the degraded report against the offline per-object ground truth.
+//! the pipeline misbehave. Each case installs a seeded [`FaultPlan`]
+//! (so a CI failure replays from its logged seed, see
+//! [`vyrd_rt::fault::SEED_ENV`]), drives a recorded multi-object trace
+//! through a supervised [`VerifierPool`](vyrd_core::pool::VerifierPool),
+//! and checks the degraded report against the offline per-object ground
+//! truth.
 //!
 //! Fault plans are process-global: [`run_matrix`] runs its cells
 //! sequentially, and callers must not run it concurrently with anything
@@ -21,8 +22,7 @@ use std::fmt;
 use std::time::Duration;
 
 use vyrd_core::codec::{self, DecodeOutcome};
-use vyrd_core::log::EventLog;
-use vyrd_core::pool::{PoolReport, SupervisorConfig, VerifierPool};
+use vyrd_core::pool::{PoolReport, SupervisorConfig};
 use vyrd_core::shard::{partition_by_object, ShardConfig};
 use vyrd_core::violation::Verdict;
 use vyrd_core::{Event, ObjectId};
@@ -30,7 +30,7 @@ use vyrd_rt::channel;
 use vyrd_rt::fault::{self, FaultAction, FaultPlan, FaultRule};
 use vyrd_rt::rng::Rng;
 
-use crate::scenario::{CheckKind, Scenario, Variant};
+use crate::scenario::{replay_pooled, CheckKind, Scenario, Variant};
 use crate::scenarios;
 use crate::workload::WorkloadConfig;
 
@@ -76,53 +76,31 @@ impl fmt::Display for MatrixOutcome {
     }
 }
 
-fn cfg(seed: u64) -> WorkloadConfig {
-    WorkloadConfig {
-        threads: 4,
-        calls_per_thread: 25,
-        key_pool: 8,
-        shrink_pool: true,
-        internal_task: true,
-        seed,
-        pace: None,
-    }
-}
-
 /// Records one multi-object run of the correct variant into memory.
 fn record_multi(scenario: &dyn Scenario, seed: u64) -> Vec<Event> {
-    let log = EventLog::in_memory(CheckKind::View.log_mode());
-    assert!(
-        scenario.run_multi(&cfg(seed), &log, Variant::Correct, OBJECTS),
-        "{} should support multi-object runs",
-        scenario.name()
-    );
-    log.snapshot()
+    let cfg = WorkloadConfig::recorded(seed);
+    crate::scenario::record_multi(scenario, CheckKind::View, &cfg, Variant::Correct, OBJECTS)
+        .unwrap_or_else(|| panic!("{} should support multi-object runs", scenario.name()))
 }
 
-/// Re-appends a recorded trace into a supervised pool (thread and object
-/// ids intact) and collects the per-object + merged reports. Faults armed
-/// by the caller fire inside this pipeline: on append, on routing, and in
-/// the per-shard checkers.
+/// Replays a recorded trace through the matrix's View pool
+/// ([`replay_pooled`]) and collects the per-object + merged reports.
 fn pool_report(
     scenario: &dyn Scenario,
     events: &[Event],
     config: ShardConfig,
     supervisor: SupervisorConfig,
 ) -> PoolReport {
-    let factory = scenario
-        .shard_factory(CheckKind::View)
-        .expect("sharded scenario has a factory");
-    let pool = VerifierPool::spawn_supervised(
-        CheckKind::View.log_mode(),
+    replay_pooled(
+        scenario,
+        CheckKind::View,
+        events,
         WORKERS,
         config,
         supervisor,
-        move |object| factory(object),
-    );
-    for e in events {
-        pool.log().append_event(e.clone());
-    }
-    pool.finish_all()
+    )
+    .expect("sharded scenario has a factory")
+    .0
 }
 
 /// Ground truth: the offline per-object verdict for each shard of the
@@ -355,7 +333,7 @@ fn case_spawn_fallback(scenario: &dyn Scenario, seed: u64) -> Result<String, Str
     ))
 }
 
-/// Case: the recorded trace is written to the v3 on-disk format and its
+/// Case: the recorded trace is written to the framed on-disk format and its
 /// tail torn off at a seeded offset (a crash mid-write). Decoding must
 /// never panic: [`codec::read_log_recovering`] yields the maximal clean
 /// prefix, and the offline checkers consume that prefix to a verdict.

@@ -434,6 +434,52 @@ pub fn run_online_sharded_with(
     Some((wall, report))
 }
 
+/// Records one multi-object run ([`Scenario::run_multi`]) into an
+/// in-memory log in `kind`'s log mode. `None` when the scenario has no
+/// multi-object mode.
+pub fn record_multi(
+    scenario: &dyn Scenario,
+    kind: CheckKind,
+    cfg: &WorkloadConfig,
+    variant: Variant,
+    objects: u32,
+) -> Option<Vec<Event>> {
+    let log = EventLog::in_memory(kind.log_mode());
+    scenario
+        .run_multi(cfg, &log, variant, objects)
+        .then(|| log.snapshot())
+}
+
+/// Re-appends a recorded trace (thread and object ids intact) into a
+/// supervised [`VerifierPool`] of the scenario's `kind` shard checkers,
+/// then collects the pool's report and the log's final counters. Faults
+/// the caller armed fire inside this pipeline: on append, on routing,
+/// and in the per-shard checkers. `None` when the scenario has no
+/// checker for `kind`.
+pub fn replay_pooled(
+    scenario: &dyn Scenario,
+    kind: CheckKind,
+    events: &[Event],
+    workers: usize,
+    shard_config: ShardConfig,
+    supervisor: SupervisorConfig,
+) -> Option<(PoolReport, LogStats)> {
+    let factory = scenario.shard_factory(kind)?;
+    let pool = VerifierPool::spawn_supervised(
+        kind.log_mode(),
+        workers,
+        shard_config,
+        supervisor,
+        move |object| factory(object),
+    );
+    let log = pool.log().clone();
+    for e in events {
+        log.append_event(e.clone());
+    }
+    let report = pool.finish_all();
+    Some((report, log.stats()))
+}
+
 /// Runs a scenario's multi-object workload against the pool `spawn`
 /// builds from the scenario's shard factory, then collects the pool's
 /// report. Also returns the workload wall time and the program-side log

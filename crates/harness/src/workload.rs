@@ -65,6 +65,20 @@ impl WorkloadConfig {
         }
     }
 
+    /// The compact multi-object workload whose traces the fault matrix,
+    /// the agreement tests and the metrics reconciliation record.
+    pub fn recorded(seed: u64) -> WorkloadConfig {
+        WorkloadConfig {
+            threads: 4,
+            calls_per_thread: 25,
+            key_pool: 8,
+            shrink_pool: true,
+            internal_task: true,
+            seed,
+            pace: None,
+        }
+    }
+
     /// Total method calls across application threads (closed-loop).
     pub fn total_calls(&self) -> usize {
         self.threads * self.calls_per_thread

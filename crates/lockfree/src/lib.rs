@@ -57,7 +57,7 @@
 //! order guarantees every critical section whose CAS the observer saw
 //! has completed, commit append included.
 //!
-//! Specifications live in [`spec`]: [`StackSpec`] (LIFO) and
+//! Specifications live in the `spec` module: [`StackSpec`] (LIFO) and
 //! [`QueueSpec`] (FIFO), both checkpointable and both exposing the
 //! O(1) *observation digest* fast path used by the linearizability
 //! checking mode (`Checker::lin`): for a fixed ADT the only state a

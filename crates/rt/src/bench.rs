@@ -126,7 +126,7 @@ impl BenchGroup {
     /// Pins the per-sample iteration count for subsequent benchmarks,
     /// bypassing warmup calibration (minimum 1).
     ///
-    /// Calibration targets [`TARGET_SAMPLE_TIME`]; a workload slower than
+    /// Calibration targets `TARGET_SAMPLE_TIME`; a workload slower than
     /// that gets `iters = 1`, and its run-to-run variance then lands
     /// directly in the summary statistics. Pinning the count (together
     /// with a larger [`sample_size`](Self::sample_size)) makes such rows

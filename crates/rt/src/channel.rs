@@ -272,10 +272,11 @@ impl<T> Sender<T> {
     /// # Errors
     ///
     /// [`SendError`] when the [`Receiver`] is gone (immediately or
-    /// mid-batch); undelivered messages are dropped, matching the
+    /// mid-batch), carrying how many messages were never queued so the
+    /// caller can account for them; those are dropped, matching the
     /// fire-and-forget contract of a logging sink whose verifier stopped
     /// early. `values` is left empty either way.
-    pub fn send_many(&self, values: &mut Vec<T>) -> Result<(), SendError<()>> {
+    pub fn send_many(&self, values: &mut Vec<T>) -> Result<(), SendError<usize>> {
         if values.is_empty() {
             return Ok(());
         }
@@ -286,8 +287,7 @@ impl<T> Sender<T> {
             if !state.receiver_alive {
                 drop(state);
                 // Drain (and drop) the rest so `values` ends up empty.
-                pending.for_each(drop);
-                return Err(SendError(()));
+                return Err(SendError(pending.count()));
             }
             if let Some(cap) = state.capacity {
                 if state.queue.len() >= cap {
@@ -953,6 +953,23 @@ mod tests {
     }
 
     #[test]
+    fn send_many_counts_what_a_receiver_hung_up_mid_batch_never_got() {
+        let (tx, rx) = bounded(2);
+        let t = thread::spawn(move || {
+            let mut batch: Vec<i32> = (0..10).collect();
+            (tx.send_many(&mut batch), batch)
+        });
+        // Hang up only once the sender is blocked with the bound queued.
+        while rx.len() < 2 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        drop(rx);
+        let (res, batch) = t.join().unwrap();
+        assert_eq!(res, Err(SendError(8)));
+        assert!(batch.is_empty());
+    }
+
+    #[test]
     fn send_many_respects_bounded_capacity() {
         let (tx, rx) = bounded(2);
         let t = thread::spawn(move || {
@@ -973,7 +990,7 @@ mod tests {
         let (tx, rx) = unbounded();
         drop(rx);
         let mut batch = vec![1, 2, 3];
-        assert_eq!(tx.send_many(&mut batch), Err(SendError(())));
+        assert_eq!(tx.send_many(&mut batch), Err(SendError(3)));
         assert!(batch.is_empty());
     }
 
@@ -986,7 +1003,9 @@ mod tests {
         });
         thread::sleep(Duration::from_millis(20));
         drop(rx);
-        assert_eq!(t.join().unwrap(), Err(SendError(())));
+        // One message fits before the sender blocks (none, if the sender
+        // had not started yet); the rest never reach the channel.
+        assert!(matches!(t.join().unwrap(), Err(SendError(9 | 10))));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! deterministically — which hits of which site panic, stall, or drop.
 //!
 //! Determinism is the point. Every probabilistic decision draws from a
-//! per-site [`Rng`](crate::rng::Rng) seeded from the plan seed mixed with
+//! per-site [`Rng`] seeded from the plan seed mixed with
 //! a hash of the site name, so a failing fault-matrix run replays exactly
 //! from its seed (`VYRD_FAULT_SEED`), independent of thread scheduling at
 //! *other* sites.

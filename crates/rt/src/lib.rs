@@ -35,7 +35,7 @@
 //! * [`rng`] — a seedable SplitMix64/xoshiro256++ PRNG
 //!   (`gen_range`, `gen_bool`, `shuffle`, `fill_bytes`) making workloads
 //!   deterministic by seed;
-//! * [`bench`] — a minimal benchmark runner (warmup, N timed iterations,
+//! * [`bench`](mod@bench) — a minimal benchmark runner (warmup, N timed iterations,
 //!   mean/median/p95/stddev, `BENCH_*.json` emission) so the
 //!   `crates/bench` binaries run as plain `harness = false` programs;
 //! * [`time`] — open-loop pacing ([`Pacer`](time::Pacer): fixed arrival

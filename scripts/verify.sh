@@ -14,6 +14,11 @@ cargo build --workspace --release --offline
 echo "==> cargo test -q --offline"
 cargo test --workspace -q --offline
 
+# Rustdoc gate: every intra-doc link must resolve, so a doc comment
+# cannot keep pointing at an item that was renamed or deleted.
+echo "==> cargo doc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # The pipeline benchmark is a Cargo workspace of its own, so the commands
 # above never build it; its tests catch a crate API change that would
 # break the benchmark before the benchmark itself runs.

@@ -23,10 +23,10 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 use vyrd::core::log::{EventLog, LogMode};
-use vyrd::core::pool::VerifierPool;
-use vyrd::core::shard::partition_by_object;
+use vyrd::core::pool::SupervisorConfig;
+use vyrd::core::shard::{partition_by_object, ShardConfig};
 use vyrd::core::{Event, ObjectId, Report, ThreadId, Value, VarId};
-use vyrd::harness::scenario::{CheckKind, Scenario, Variant};
+use vyrd::harness::scenario::{self, replay_pooled, CheckKind, Scenario, Variant};
 use vyrd::harness::scenarios;
 use vyrd::harness::workload::WorkloadConfig;
 use vyrd::rt::channel;
@@ -226,39 +226,24 @@ fn injected_append_drops_reconcile_against_the_reference() {
     assert_eq!(stats.events, batched.len() as u64);
 }
 
-fn cfg(seed: u64) -> WorkloadConfig {
-    WorkloadConfig {
-        threads: 4,
-        calls_per_thread: 25,
-        key_pool: 8,
-        shrink_pool: true,
-        internal_task: true,
-        seed,
-        pace: None,
-    }
-}
-
 fn record_multi(scenario: &dyn Scenario, seed: u64) -> Vec<Event> {
-    let log = EventLog::in_memory(CheckKind::View.log_mode());
-    assert!(
-        scenario.run_multi(&cfg(seed), &log, Variant::Correct, OBJECTS),
-        "{} should support multi-object runs",
-        scenario.name()
-    );
-    log.snapshot()
+    let cfg = WorkloadConfig::recorded(seed);
+    scenario::record_multi(scenario, CheckKind::View, &cfg, Variant::Correct, OBJECTS)
+        .unwrap_or_else(|| panic!("{} should support multi-object runs", scenario.name()))
 }
 
 fn pool_verdict(scenario: &dyn Scenario, events: &[Event]) -> Report {
-    let factory = scenario
-        .shard_factory(CheckKind::View)
-        .expect("scenario has a shard factory");
-    let pool = VerifierPool::spawn(CheckKind::View.log_mode(), OBJECTS as usize, move |object| {
-        factory(object)
-    });
-    for e in events {
-        pool.log().append_event(e.clone());
-    }
-    pool.finish()
+    replay_pooled(
+        scenario,
+        CheckKind::View,
+        events,
+        OBJECTS as usize,
+        ShardConfig::default(),
+        SupervisorConfig::default(),
+    )
+    .expect("scenario has a shard factory")
+    .0
+    .merged
 }
 
 fn per_object_offline_verdicts(scenario: &dyn Scenario, events: &[Event]) -> Vec<Report> {

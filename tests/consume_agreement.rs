@@ -21,11 +21,10 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use vyrd::core::log::EventLog;
-use vyrd::core::pool::VerifierPool;
+use vyrd::core::pool::SupervisorConfig;
 use vyrd::core::shard::{partition_by_object, ShardConfig, ShardRouter};
 use vyrd::core::{Event, OverloadPolicy, Report};
-use vyrd::harness::scenario::{CheckKind, Scenario, Variant};
+use vyrd::harness::scenario::{self, replay_pooled, CheckKind, Scenario, Variant};
 use vyrd::harness::scenarios;
 use vyrd::harness::workload::WorkloadConfig;
 use vyrd::rt::channel;
@@ -52,28 +51,14 @@ fn base_seed() -> u64 {
         .unwrap_or(0x000C_0A5E_0002)
 }
 
-fn cfg(seed: u64) -> WorkloadConfig {
-    WorkloadConfig {
-        threads: 4,
-        calls_per_thread: 25,
-        key_pool: 8,
-        shrink_pool: true,
-        internal_task: true,
-        seed,
-        pace: None,
-    }
-}
-
 fn record_multi(
     scenario: &dyn Scenario,
     kind: CheckKind,
     variant: Variant,
     seed: u64,
 ) -> Option<Vec<Event>> {
-    let log = EventLog::in_memory(kind.log_mode());
-    scenario
-        .run_multi(&cfg(seed), &log, variant, OBJECTS)
-        .then(|| log.snapshot())
+    let cfg = WorkloadConfig::recorded(seed);
+    scenario::record_multi(scenario, kind, &cfg, variant, OBJECTS)
 }
 
 /// The batched pipeline: append through the router (per-object run
@@ -84,12 +69,17 @@ fn pooled_verdict(
     events: &[Event],
     workers: usize,
 ) -> Report {
-    let factory = scenario.shard_factory(kind).expect("factory exists");
-    let pool = VerifierPool::spawn(kind.log_mode(), workers, move |object| factory(object));
-    for e in events {
-        pool.log().append_event(e.clone());
-    }
-    pool.finish()
+    replay_pooled(
+        scenario,
+        kind,
+        events,
+        workers,
+        ShardConfig::default(),
+        SupervisorConfig::default(),
+    )
+    .expect("factory exists")
+    .0
+    .merged
 }
 
 /// The per-event baseline: each shard's stream is consumed through a

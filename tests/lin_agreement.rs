@@ -18,12 +18,11 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use vyrd::core::log::EventLog;
-use vyrd::core::pool::{PoolReport, SupervisorConfig, VerifierPool};
+use vyrd::core::pool::{PoolReport, SupervisorConfig};
 use vyrd::core::shard::{partition_by_object, ShardConfig};
 use vyrd::core::violation::Verdict;
 use vyrd::core::{Event, ObjectId, Report};
-use vyrd::harness::scenario::{CheckKind, Scenario, Variant};
+use vyrd::harness::scenario::{self, replay_pooled, CheckKind, Scenario, Variant};
 use vyrd::harness::scenarios;
 use vyrd::harness::workload::WorkloadConfig;
 use vyrd::rt::channel;
@@ -49,47 +48,30 @@ fn base_seed() -> u64 {
         .unwrap_or(0x0011_4EA7_0001)
 }
 
-fn cfg(seed: u64) -> WorkloadConfig {
-    WorkloadConfig {
-        threads: 4,
-        calls_per_thread: 25,
-        key_pool: 8,
-        shrink_pool: true,
-        internal_task: false,
-        seed,
-        pace: None,
-    }
-}
-
 /// Records one multi-object lock-free run into an in-memory Io-mode log
 /// (the log mode Lin checking consumes).
 fn record_multi(scenario: &dyn Scenario, seed: u64, variant: Variant) -> Vec<Event> {
-    let log = EventLog::in_memory(CheckKind::Lin.log_mode());
-    assert!(
-        scenario.run_multi(&cfg(seed), &log, variant, OBJECTS),
-        "{} should support multi-object runs",
-        scenario.name()
-    );
-    log.snapshot()
+    let cfg = WorkloadConfig {
+        internal_task: false,
+        ..WorkloadConfig::recorded(seed)
+    };
+    scenario::record_multi(scenario, CheckKind::Lin, &cfg, variant, OBJECTS)
+        .unwrap_or_else(|| panic!("{} should support multi-object runs", scenario.name()))
 }
 
 /// The sharded verdict: re-append every event (thread and object ids
 /// intact) into a K-worker pool of Lin checkers.
 fn pool_report(scenario: &dyn Scenario, events: &[Event]) -> PoolReport {
-    let factory = scenario
-        .shard_factory(CheckKind::Lin)
-        .expect("lock-free scenario has a Lin shard factory");
-    let pool = VerifierPool::spawn_supervised(
-        CheckKind::Lin.log_mode(),
+    replay_pooled(
+        scenario,
+        CheckKind::Lin,
+        events,
         OBJECTS as usize,
         ShardConfig::default(),
         SupervisorConfig::default(),
-        move |object| factory(object),
-    );
-    for e in events {
-        pool.log().append_event(e.clone());
-    }
-    pool.finish_all()
+    )
+    .expect("lock-free scenario has a Lin shard factory")
+    .0
 }
 
 /// The unsharded reference: partition the trace by object and run one

@@ -244,9 +244,9 @@ fn metrics_counters_reconcile_with_log_stats() {
 /// and the degradation ledger move in lockstep: same sites, same counts.
 #[test]
 fn shed_metric_reconciles_with_degradation_ledger() {
-    use vyrd::core::pool::{SupervisorConfig, VerifierPool};
+    use vyrd::core::pool::SupervisorConfig;
     use vyrd::core::shard::ShardConfig;
-    use vyrd::harness::scenario::{CheckKind, Variant};
+    use vyrd::harness::scenario::{record_multi, replay_pooled, CheckKind, Variant};
     use vyrd::harness::scenarios;
     use vyrd::harness::workload::WorkloadConfig;
 
@@ -254,21 +254,12 @@ fn shed_metric_reconciles_with_degradation_ledger() {
     const DROPS: u64 = 7;
     let seed = pinned_seed();
     let scenario = scenarios::by_name("Multiset-Vector").expect("known scenario");
-    let cfg = WorkloadConfig {
-        threads: 4,
-        calls_per_thread: 25,
-        key_pool: 8,
-        shrink_pool: true,
-        internal_task: true,
-        seed,
-        pace: None,
-    };
+    let cfg = WorkloadConfig::recorded(seed);
 
     // Record the trace before enabling metrics, so only the checked
     // replay is measured.
-    let record = EventLog::in_memory(CheckKind::View.log_mode());
-    assert!(scenario.run_multi(&cfg, &record, Variant::Correct, 3));
-    let events = record.snapshot();
+    let events = record_multi(scenario.as_ref(), CheckKind::View, &cfg, Variant::Correct, 3)
+        .expect("multi-object scenario");
 
     metrics::set_enabled(true);
     let _scope = vyrd::rt::fault::install(vyrd::rt::fault::FaultPlan::seeded(seed).rule(
@@ -277,20 +268,15 @@ fn shed_metric_reconciles_with_degradation_ledger() {
             .after(3)
             .times(DROPS),
     ));
-    let factory = scenario
-        .shard_factory(CheckKind::View)
-        .expect("sharded scenario has a factory");
-    let pool = VerifierPool::spawn_supervised(
-        CheckKind::View.log_mode(),
+    let (report, _) = replay_pooled(
+        scenario.as_ref(),
+        CheckKind::View,
+        &events,
         3,
         ShardConfig::default(),
         SupervisorConfig::default(),
-        move |object| factory(object),
-    );
-    for e in &events {
-        pool.log().append_event(e.clone());
-    }
-    let report = pool.finish_all();
+    )
+    .expect("sharded scenario has a factory");
     metrics::set_enabled(false);
     drop(_scope);
 

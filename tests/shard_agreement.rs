@@ -14,10 +14,10 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 use vyrd::core::log::{EventLog, LogMode};
-use vyrd::core::pool::{PoolReport, SupervisorConfig, VerifierPool};
+use vyrd::core::pool::{PoolReport, SupervisorConfig};
 use vyrd::core::shard::{partition_by_object, ShardConfig};
 use vyrd::core::{Event, Report};
-use vyrd::harness::scenario::{CheckKind, Scenario, Variant};
+use vyrd::harness::scenario::{self, replay_pooled, CheckKind, Scenario, Variant};
 use vyrd::harness::scenarios;
 use vyrd::harness::workload::WorkloadConfig;
 use vyrd::rt::channel;
@@ -37,42 +37,17 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-fn cfg(seed: u64) -> WorkloadConfig {
-    WorkloadConfig {
-        threads: 4,
-        calls_per_thread: 25,
-        key_pool: 8,
-        shrink_pool: true,
-        internal_task: true,
-        seed,
-        pace: None,
-    }
-}
-
 /// Records one multi-object run into an in-memory log.
 fn record_multi(scenario: &dyn Scenario, seed: u64, variant: Variant) -> Vec<Event> {
-    let log = EventLog::in_memory(CheckKind::View.log_mode());
-    assert!(
-        scenario.run_multi(&cfg(seed), &log, variant, OBJECTS),
-        "{} should support multi-object runs",
-        scenario.name()
-    );
-    log.snapshot()
+    let cfg = WorkloadConfig::recorded(seed);
+    scenario::record_multi(scenario, CheckKind::View, &cfg, variant, OBJECTS)
+        .unwrap_or_else(|| panic!("{} should support multi-object runs", scenario.name()))
 }
 
 /// The pool verdict for a recorded trace: re-append every event (thread
 /// and object ids intact) into a pool's log and collect the merged report.
 fn pool_verdict(scenario: &dyn Scenario, events: &[Event]) -> Report {
-    let factory = scenario
-        .shard_factory(CheckKind::View)
-        .expect("scenario has a shard factory");
-    let pool = VerifierPool::spawn(CheckKind::View.log_mode(), OBJECTS as usize, move |object| {
-        factory(object)
-    });
-    for e in events {
-        pool.log().append_event(e.clone());
-    }
-    pool.finish()
+    pool_report_supervised(scenario, events, SupervisorConfig::default()).merged
 }
 
 /// Like [`pool_verdict`] with explicit supervision, keeping the
@@ -82,20 +57,10 @@ fn pool_report_supervised(
     events: &[Event],
     supervisor: SupervisorConfig,
 ) -> PoolReport {
-    let factory = scenario
-        .shard_factory(CheckKind::View)
-        .expect("scenario has a shard factory");
-    let pool = VerifierPool::spawn_supervised(
-        CheckKind::View.log_mode(),
-        OBJECTS as usize,
-        ShardConfig::default(),
-        supervisor,
-        move |object| factory(object),
-    );
-    for e in events {
-        pool.log().append_event(e.clone());
-    }
-    pool.finish_all()
+    let (workers, config) = (OBJECTS as usize, ShardConfig::default());
+    replay_pooled(scenario, CheckKind::View, events, workers, config, supervisor)
+        .expect("scenario has a shard factory")
+        .0
 }
 
 /// The reference verdict: partition the trace by object and run one
@@ -187,7 +152,7 @@ fn pool_reports_an_injected_violation_like_the_offline_checks_do() {
     let scenario = scenarios::by_name("Multiset-Vector").expect("known scenario");
     let log = EventLog::in_memory(LogMode::View);
     let seed = 0x5AD5_0003;
-    assert!(scenario.run_multi(&cfg(seed), &log, Variant::Correct, OBJECTS));
+    assert!(scenario.run_multi(&WorkloadConfig::recorded(seed), &log, Variant::Correct, OBJECTS));
     let bad = log.with_object(ObjectId(1)).logger();
     bad.call("LookUp", &[Value::from(404_404i64)]);
     bad.commit();
